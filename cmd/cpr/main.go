@@ -68,11 +68,8 @@ func main() {
 		shardHB      = flag.Duration("shard-heartbeat", time.Second, "shard liveness heartbeat interval (0 disables heartbeats)")
 		shardTimeout = flag.Duration("shard-timeout", 10*time.Second, "declare a shard dead after this long without any frame (0 disables the watchdog)")
 		shardHedge   = flag.Duration("shard-hedge", 500*time.Millisecond, "age floor before a straggling chunk is speculatively re-issued to an idle shard (0 disables hedging)")
-		incr         = flag.Bool("incremental", true, "use incremental solver contexts (persistent encodings, retained learned clauses); results are identical either way")
-		portfolio    = flag.Int("portfolio", 0, "race this many diverse CDCL configurations on hard queries (0 or 1 = off); results are identical either way")
-		batch        = flag.Bool("batch", false, "group per-patch feasibility checks into chunked solver queries; results are identical either way")
 		paranoid     = flag.Bool("paranoid", false, "force 100% solver verdict validation (every unsat answer cross-checked by an independent scratch solve); CPR_PARANOID=1 forces it too")
-		memSoft      = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): shrink the verdict cache and retire idle solver contexts above it; results are identical either way")
+		memSoft      = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): shrink the verdict cache above it; results are identical either way")
 		memHigh      = flag.String("mem-high", "", "high memory watermark: additionally spill the frontier's cold tail to disk (see -spill-dir); results are identical either way")
 		memLimit     = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%); sustained critical pressure ends the run with its best-so-far (anytime) pool")
 		spillDir     = flag.String("spill-dir", "", "directory for frontier spill files (default: a temp dir, removed at exit)")
@@ -144,16 +141,14 @@ func main() {
 	// run resumable with -resume. A second signal terminates immediately.
 	tok, stopSignals := cpr.WithSignalCancel(nil, os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	opts := cpr.Options{Workers: *workers, Cancel: tok, Batch: *batch}
+	opts := cpr.Options{Workers: *workers, Cancel: tok}
 	gov, err := govern.Setup(*memSoft, *memHigh, *memLimit, func(format string, args ...any) { log.Printf(format, args...) })
 	if err != nil {
 		log.Fatal(err)
 	}
 	opts.Govern = gov
 	opts.SpillDir = *spillDir
-	opts.SMT.Incremental = *incr
 	opts.SMT.Paranoid = *paranoid
-	opts.SMT.Portfolio = *portfolio
 	opts.Checkpoint = cpr.CheckpointOptions{
 		Dir:      *ckptDir,
 		Interval: *ckptIvl,
@@ -299,36 +294,22 @@ func runJob(job cpr.Job, dev *cpr.Term, top int, withCEGIS bool, opts cpr.Option
 		st.PathsExplored, st.PathsSkipped, st.Refinements, st.Removals)
 	fmt.Printf("workers: %d, solver queries: %d, cache hit rate: %.1f%%\n",
 		st.Workers, st.SolverQueries, st.CacheHitRate()*100)
-	if total := st.EncodeCacheHits + st.EncodeCacheMisses; total > 0 {
-		fmt.Printf("incremental: enc-cache hit rate %.1f%%, clauses %d learned / %d kept / %d deleted, %d unsat cores\n",
-			float64(st.EncodeCacheHits)/float64(total)*100,
-			st.ClausesLearned, st.ClausesKept, st.ClausesDeleted, st.AssumptionCores)
-	}
 	if st.SatTime+st.LIATime+st.ValidateTime > 0 {
 		fmt.Printf("solver time: SAT %v, LIA %v, validation %v\n",
 			st.SatTime.Round(time.Millisecond), st.LIATime.Round(time.Millisecond), st.ValidateTime.Round(time.Millisecond))
-	}
-	if st.PortfolioRaces > 0 {
-		fmt.Printf("portfolio: %d races (%d won by a non-leader config), %d learned clauses shared\n",
-			st.PortfolioRaces, st.PortfolioMirrorWins, st.PortfolioShared)
-	}
-	if st.BatchQueries > 0 {
-		fmt.Printf("batching: %d group queries answered %d items (%d bisections)\n",
-			st.BatchQueries, st.BatchItems, st.BatchBisections)
 	}
 	if n := st.SolverUnknowns + st.SolverPanics + st.ExecPanics + st.FlipsDropped; n > 0 {
 		fmt.Printf("degraded: solver unknowns %d, solver panics %d, exec panics %d, flips requeued %d / dropped %d\n",
 			st.SolverUnknowns, st.SolverPanics, st.ExecPanics, st.FlipsRequeued, st.FlipsDropped)
 	}
 	if st.Validations > 0 {
-		fmt.Printf("self-heal: %d validations (%d failed), %d quarantines, %d fallback solves, %d rebuilds, %d breaker trips\n",
-			st.Validations, st.ValidationFailures, st.Quarantines, st.FallbackSolves, st.RebuildRetries, st.BreakerTrips)
+		fmt.Printf("self-heal: %d validations (%d failed), %d quarantines, %d fallback solves\n",
+			st.Validations, st.ValidationFailures, st.Quarantines, st.FallbackSolves)
 	}
 	if st.GovernPolls > 0 {
-		fmt.Printf("memory: %d governor polls (%d soft / %d high / %d critical), cache shrinks %d (%s freed), contexts retired %d (%s)\n",
+		fmt.Printf("memory: %d governor polls (%d soft / %d high / %d critical), cache shrinks %d (%s freed)\n",
 			st.GovernPolls, st.MemRungSoft, st.MemRungHigh, st.MemRungCritical,
-			st.MemCacheShrinks, fmtBytes(st.MemCacheShrinkBytes),
-			st.MemContextRetires, fmtBytes(st.MemContextRetireBytes))
+			st.MemCacheShrinks, fmtBytes(st.MemCacheShrinkBytes))
 		if st.MemSpills > 0 {
 			fmt.Printf("spill: %d batches (%d items) to disk, %d reloads, %d load failures\n",
 				st.MemSpills, st.MemSpilledItems, st.MemReloads, st.MemSpillLoadFailures)

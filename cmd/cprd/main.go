@@ -73,15 +73,12 @@ func main() {
 		queueTO = flag.Duration("queue-timeout", 0, "expire jobs queued longer than this (0 = never)")
 		runTO   = flag.Duration("run-timeout", 0, "wall-clock bound per attempt (0 = none)")
 
-		memSoft  = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): jobs shrink caches and retire idle solver contexts above it; results are identical either way")
+		memSoft  = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): jobs shrink their verdict caches above it; results are identical either way")
 		memHigh  = flag.String("mem-high", "", "high memory watermark: jobs additionally spill frontier cold tails under -state, new submits shed while a retry backlog drains, and new shard fleets are halved")
 		memLimit = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%); at critical pressure new submits shed with 503 + Retry-After and new shard fleets are skipped")
 
-		ckptIvl   = flag.Int("checkpoint-interval", 4, "generation barriers between job checkpoints")
-		incr      = flag.Bool("incremental", true, "incremental solver contexts per job")
-		portfolio = flag.Int("portfolio", 0, "race this many diverse CDCL configurations on hard queries (0 or 1 = off); results are identical either way")
-		batch     = flag.Bool("batch", false, "group per-patch feasibility checks into chunked solver queries; results are identical either way")
-		paranoid  = flag.Bool("paranoid", false, "force 100% solver verdict validation")
+		ckptIvl  = flag.Int("checkpoint-interval", 4, "generation barriers between job checkpoints")
+		paranoid = flag.Bool("paranoid", false, "force 100% solver verdict validation")
 
 		drainTO = flag.Duration("drain-timeout", 30*time.Second, "max wait for running jobs to checkpoint on shutdown")
 
@@ -154,10 +151,7 @@ func main() {
 		QueueTimeout:         *queueTO,
 		RunTimeout:           *runTO,
 		CheckpointInterval:   *ckptIvl,
-		Incremental:          *incr,
 		Paranoid:             *paranoid,
-		Portfolio:            *portfolio,
-		Batch:                *batch,
 		Warn:                 func(msg string) { log.Print(msg) },
 	}
 	gov, err := govern.Setup(*memSoft, *memHigh, *memLimit, warnf)
@@ -178,6 +172,10 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Install the drain handler before the listener exists: a SIGTERM that
+	// arrives as soon as /readyz answers 200 must drain, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
@@ -191,8 +189,6 @@ func main() {
 	}()
 	log.Printf("%s listening on %s, state %s", buildinfo.String("cprd"), ln.Addr(), *state)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	// A second signal bypasses the drain and kills the process — the
 	// periodic checkpoints make even that recoverable with -resume.

@@ -32,14 +32,9 @@ type JSONRow struct {
 	CacheMisses   uint64  `json:"cache_misses"`
 	CacheHitRate  float64 `json:"cache_hit_rate"`
 
-	// Incremental-solver counters; omitted when the run used scratch mode.
-	EncCacheHits       uint64 `json:"enc_cache_hits,omitempty"`
-	EncCacheMisses     uint64 `json:"enc_cache_misses,omitempty"`
-	ClausesLearned     uint64 `json:"clauses_learned,omitempty"`
-	ClausesKept        uint64 `json:"clauses_kept,omitempty"`
-	ClausesDeleted     uint64 `json:"clauses_deleted,omitempty"`
-	AssumptionCores    uint64 `json:"assumption_cores,omitempty"`
-	AssumptionCoreLits uint64 `json:"assumption_core_lits,omitempty"`
+	// CDCL clause counters: learned clauses and activity-driven deletions.
+	ClausesLearned uint64 `json:"clauses_learned,omitempty"`
+	ClausesDeleted uint64 `json:"clauses_deleted,omitempty"`
 
 	// Self-healing health counters; omitted when zero (a healthy run with
 	// default sampling may validate without ever failing or falling back).
@@ -47,25 +42,13 @@ type JSONRow struct {
 	ValidationFailures uint64 `json:"validation_failures,omitempty"`
 	Quarantines        uint64 `json:"quarantines,omitempty"`
 	FallbackSolves     uint64 `json:"fallback_solves,omitempty"`
-	RebuildRetries     uint64 `json:"rebuild_retries,omitempty"`
-	BreakerTrips       uint64 `json:"breaker_trips,omitempty"`
 
 	// Solver wall-time breakdown (milliseconds): CDCL search, LIA theory
-	// work, and verdict validation. The remainder of wall_ms is
-	// exploration, synthesis, and bookkeeping.
+	// work, and verdict validation. The remainder of wall_ms is not
+	// attributed to a phase.
 	SatMS      float64 `json:"sat_ms"`
 	LIAMS      float64 `json:"lia_ms"`
 	ValidateMS float64 `json:"validate_ms"`
-
-	// Portfolio-race counters; omitted when racing is off or never fired.
-	PortfolioRaces      uint64 `json:"portfolio_races,omitempty"`
-	PortfolioMirrorWins uint64 `json:"portfolio_mirror_wins,omitempty"`
-	PortfolioShared     uint64 `json:"portfolio_shared,omitempty"`
-
-	// Batched-feasibility counters; omitted when batching is off.
-	BatchQueries    uint64 `json:"batch_queries,omitempty"`
-	BatchItems      uint64 `json:"batch_items,omitempty"`
-	BatchBisections uint64 `json:"batch_bisections,omitempty"`
 
 	// Sharding counters; omitted on non-distributed runs. Informational
 	// only — result-equality comparisons (e.g. CI's multi-shard
@@ -99,7 +82,6 @@ type JSONRow struct {
 	MemRungCritical      uint64 `json:"mem_rung_critical,omitempty"`
 	MemCacheShrinks      uint64 `json:"mem_cache_shrinks,omitempty"`
 	MemCacheShrinkBytes  uint64 `json:"mem_cache_shrink_bytes,omitempty"`
-	MemContextRetires    uint64 `json:"mem_context_retires,omitempty"`
 	MemSpills            uint64 `json:"mem_spills,omitempty"`
 	MemSpilledItems      uint64 `json:"mem_spilled_items,omitempty"`
 	MemReloads           uint64 `json:"mem_reloads,omitempty"`
@@ -143,28 +125,15 @@ func JSONRows(rows []SubjectResult) []JSONRow {
 			row.CacheHits = r.CPR.CacheHits
 			row.CacheMisses = r.CPR.CacheMisses
 			row.CacheHitRate = r.CPR.CacheHitRate()
-			row.EncCacheHits = r.CPR.EncodeCacheHits
-			row.EncCacheMisses = r.CPR.EncodeCacheMisses
 			row.ClausesLearned = r.CPR.ClausesLearned
-			row.ClausesKept = r.CPR.ClausesKept
 			row.ClausesDeleted = r.CPR.ClausesDeleted
-			row.AssumptionCores = r.CPR.AssumptionCores
-			row.AssumptionCoreLits = r.CPR.AssumptionCoreLits
 			row.Validations = r.CPR.Validations
 			row.ValidationFailures = r.CPR.ValidationFailures
 			row.Quarantines = r.CPR.Quarantines
 			row.FallbackSolves = r.CPR.FallbackSolves
-			row.RebuildRetries = r.CPR.RebuildRetries
-			row.BreakerTrips = r.CPR.BreakerTrips
 			row.SatMS = float64(r.CPR.SatTime.Microseconds()) / 1e3
 			row.LIAMS = float64(r.CPR.LIATime.Microseconds()) / 1e3
 			row.ValidateMS = float64(r.CPR.ValidateTime.Microseconds()) / 1e3
-			row.PortfolioRaces = r.CPR.PortfolioRaces
-			row.PortfolioMirrorWins = r.CPR.PortfolioMirrorWins
-			row.PortfolioShared = r.CPR.PortfolioShared
-			row.BatchQueries = r.CPR.BatchQueries
-			row.BatchItems = r.CPR.BatchItems
-			row.BatchBisections = r.CPR.BatchBisections
 			row.Shards = uint64(r.CPR.Shards)
 			row.ShardSteals = r.CPR.ShardSteals
 			row.ShardDeaths = r.CPR.ShardDeaths
@@ -184,7 +153,6 @@ func JSONRows(rows []SubjectResult) []JSONRow {
 			row.MemRungCritical = r.CPR.MemRungCritical
 			row.MemCacheShrinks = r.CPR.MemCacheShrinks
 			row.MemCacheShrinkBytes = r.CPR.MemCacheShrinkBytes
-			row.MemContextRetires = r.CPR.MemContextRetires
 			row.MemSpills = r.CPR.MemSpills
 			row.MemSpilledItems = r.CPR.MemSpilledItems
 			row.MemReloads = r.CPR.MemReloads

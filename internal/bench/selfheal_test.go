@@ -3,7 +3,9 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"cpr/internal/core"
 	"cpr/internal/faultinject"
 )
 
@@ -21,7 +23,6 @@ func TestSelfHealCountersReachTables(t *testing.T) {
 
 	opts := RunOptions{Budget: fastBudget}
 	opts.Core.Workers = 1
-	opts.Core.SMT.Incremental = true
 	opts.Core.SMT.Paranoid = true
 
 	s := Catalog(SuiteSVCOMP)[0]
@@ -47,5 +48,21 @@ func TestSelfHealCountersReachTables(t *testing.T) {
 		rows[0].Quarantines != st.Quarantines ||
 		rows[0].FallbackSolves != st.FallbackSolves {
 		t.Errorf("JSON row dropped health counters: %+v", rows[0])
+	}
+}
+
+// TestSolverTimeLineReportsUnattributed: the summary names the wall time
+// the solver phases do not cover as unattributed, with its share, rather
+// than crediting it to any phase.
+func TestSolverTimeLineReportsUnattributed(t *testing.T) {
+	row := SubjectResult{
+		Subject: Catalog(SuiteSVCOMP)[0],
+		Wall:    10 * time.Second,
+		CPR:     core.Stats{SatTime: 2 * time.Second, LIATime: time.Second, ValidateTime: time.Second},
+	}
+	out := solverSummary([]SubjectResult{row})
+	want := "solver time: SAT 2s, LIA 1s, validation 1s; unattributed 6s (60.0% of wall)"
+	if !strings.Contains(out, want) {
+		t.Errorf("summary lacks %q:\n%s", want, out)
 	}
 }

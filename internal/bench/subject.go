@@ -11,6 +11,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"cpr/internal/core"
 	"cpr/internal/expr"
@@ -80,22 +81,37 @@ type Subject struct {
 	// Paper holds the numbers reported in the paper for this subject.
 	Paper PaperRow
 
-	parsed bool
-	prog   *lang.Program
-	err    error
+	// parse caches Program's result; created on first use under
+	// parseInit so that concurrent first calls share one parse.
+	parse *parseCache
 }
+
+// parseCache holds a subject's parsed program. Job servers (cprd) build
+// jobs for the same catalog subject from concurrent requests, so the
+// parse runs exactly once behind a sync.Once.
+type parseCache struct {
+	once sync.Once
+	prog *lang.Program
+	err  error
+}
+
+// parseInit guards the lazy creation of Subject.parse.
+var parseInit sync.Mutex
 
 // ID returns "Project/BugID".
 func (s *Subject) ID() string { return s.Project + "/" + s.BugID }
 
-// Program parses (once) and returns the subject program. Subjects are not
-// safe for concurrent use.
+// Program parses (once) and returns the subject program. It is safe for
+// concurrent use.
 func (s *Subject) Program() (*lang.Program, error) {
-	if !s.parsed {
-		s.prog, s.err = lang.Parse(s.Source)
-		s.parsed = true
+	parseInit.Lock()
+	if s.parse == nil {
+		s.parse = &parseCache{}
 	}
-	return s.prog, s.err
+	c := s.parse
+	parseInit.Unlock()
+	c.once.Do(func() { c.prog, c.err = lang.Parse(s.Source) })
+	return c.prog, c.err
 }
 
 // paramRange returns the parameter range (default [-10, 10], §5 setup).

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sync"
 	"testing"
 
 	"cpr/internal/core"
@@ -149,5 +150,44 @@ func TestDeveloperPatchInSynthesisSpace(t *testing.T) {
 			}
 			_ = rank
 		})
+	}
+}
+
+// TestSubjectJobConcurrent builds one subject's job from two goroutines at
+// once, the way cprd's concurrent POST /jobs handlers do. The subject is
+// fresh, so both calls race to parse its program; under -race this fails
+// unless the parse cache is synchronized.
+func TestSubjectJobConcurrent(t *testing.T) {
+	s := &Subject{
+		Project: "test", BugID: "concurrent-job", Suite: SuiteSVCOMP,
+		Source: `
+void main(int x, int y) {
+    if (__HOLE__) {
+        return;
+    }
+    __BUG__;
+    int c = 100 / x;
+}`,
+		SpecSrc: "(distinct x 0)",
+		Failing: []map[string]int64{{"x": 0, "y": 1}},
+	}
+	var wg sync.WaitGroup
+	jobs := make([]core.Job, 2)
+	errs := make([]error, 2)
+	for i := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			jobs[i], errs[i] = s.Job(core.Budget{})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	if jobs[0].Program != jobs[1].Program {
+		t.Fatal("concurrent Job calls parsed the program twice")
 	}
 }

@@ -336,15 +336,12 @@ func FormatCPRTable(title string, rows []SubjectResult) string {
 func solverSummary(rows []SubjectResult) string {
 	var wall, satTime, liaTime, valTime time.Duration
 	var queries, hits, misses uint64
-	var encHits, encMisses, learned, kept, deleted, cores, coreLits uint64
-	var validations, valFailures, quarantines, fallbacks, rebuilds, trips uint64
-	var races, mirrorWins, shared uint64
-	var batchQ, batchItems, batchBisect uint64
+	var validations, valFailures, quarantines, fallbacks uint64
 	var shardMax int
 	var steals, deaths, impVerdicts, impCores, rejImports uint64
 	var hbMissed, hedges, hedgeWins, hedgeLosses, reconnects, lateJoins, degraded uint64
 	var governPolls, rungSoft, rungHigh, rungCritical uint64
-	var shrinks, shrinkBytes, retires, retireBytes uint64
+	var shrinks, shrinkBytes uint64
 	var spills, spilledItems, reloads, spillFails, memStopped uint64
 	var frontierPeak, seenPeak int
 	var frontierPeakB, seenPeakB, poolPeakB uint64
@@ -374,33 +371,16 @@ func solverSummary(rows []SubjectResult) string {
 		queries += r.CPR.SolverQueries
 		hits += r.CPR.CacheHits
 		misses += r.CPR.CacheMisses
-		encHits += r.CPR.EncodeCacheHits
-		encMisses += r.CPR.EncodeCacheMisses
-		learned += r.CPR.ClausesLearned
-		kept += r.CPR.ClausesKept
-		deleted += r.CPR.ClausesDeleted
-		cores += r.CPR.AssumptionCores
-		coreLits += r.CPR.AssumptionCoreLits
 		validations += r.CPR.Validations
 		valFailures += r.CPR.ValidationFailures
 		quarantines += r.CPR.Quarantines
 		fallbacks += r.CPR.FallbackSolves
-		rebuilds += r.CPR.RebuildRetries
-		trips += r.CPR.BreakerTrips
-		races += r.CPR.PortfolioRaces
-		mirrorWins += r.CPR.PortfolioMirrorWins
-		shared += r.CPR.PortfolioShared
-		batchQ += r.CPR.BatchQueries
-		batchItems += r.CPR.BatchItems
-		batchBisect += r.CPR.BatchBisections
 		governPolls += r.CPR.GovernPolls
 		rungSoft += r.CPR.MemRungSoft
 		rungHigh += r.CPR.MemRungHigh
 		rungCritical += r.CPR.MemRungCritical
 		shrinks += r.CPR.MemCacheShrinks
 		shrinkBytes += r.CPR.MemCacheShrinkBytes
-		retires += r.CPR.MemContextRetires
-		retireBytes += r.CPR.MemContextRetireBytes
 		spills += r.CPR.MemSpills
 		spilledItems += r.CPR.MemSpilledItems
 		reloads += r.CPR.MemReloads
@@ -430,30 +410,21 @@ func solverSummary(rows []SubjectResult) string {
 	}
 	out := fmt.Sprintf("solver: %d queries, cache hit rate %.1f%% (%d hits / %d misses), wall %s\n",
 		queries, rate*100, hits, misses, wall.Round(time.Millisecond))
-	if satTime+liaTime+valTime > 0 {
-		out += fmt.Sprintf("solver time: SAT %s, LIA %s, validation %s (rest is exploration + synthesis)\n",
-			satTime.Round(time.Millisecond), liaTime.Round(time.Millisecond), valTime.Round(time.Millisecond))
-	}
-	if races > 0 {
-		out += fmt.Sprintf("portfolio: %d races (%d non-leader wins), %d learned clauses shared\n",
-			races, mirrorWins, shared)
-	}
-	if batchQ > 0 {
-		out += fmt.Sprintf("batching: %d group queries answered %d items (%d bisections)\n",
-			batchQ, batchItems, batchBisect)
-	}
-	if encHits+encMisses > 0 { // incremental contexts were in play
-		encRate := float64(encHits) / float64(encHits+encMisses)
-		meanCore := 0.0
-		if cores > 0 {
-			meanCore = float64(coreLits) / float64(cores)
+	if solver := satTime + liaTime + valTime; solver > 0 {
+		// Solver times are summed across workers, so with several workers
+		// they can exceed the wall clock; the remainder is then zero.
+		rest := max(wall-solver, 0)
+		share := 0.0
+		if wall > 0 {
+			share = float64(rest) / float64(wall)
 		}
-		out += fmt.Sprintf("incremental: enc-cache hit rate %.1f%% (%d/%d), clauses %d learned / %d kept / %d deleted, %d cores (mean %.1f conjuncts)\n",
-			encRate*100, encHits, encHits+encMisses, learned, kept, deleted, cores, meanCore)
+		out += fmt.Sprintf("solver time: SAT %s, LIA %s, validation %s; unattributed %s (%.1f%% of wall)\n",
+			satTime.Round(time.Millisecond), liaTime.Round(time.Millisecond), valTime.Round(time.Millisecond),
+			rest.Round(time.Millisecond), share*100)
 	}
 	if validations > 0 {
-		out += fmt.Sprintf("self-heal: %d validations (%d failed), %d quarantines, %d fallback solves, %d rebuilds, %d breaker trips\n",
-			validations, valFailures, quarantines, fallbacks, rebuilds, trips)
+		out += fmt.Sprintf("self-heal: %d validations (%d failed), %d quarantines, %d fallback solves\n",
+			validations, valFailures, quarantines, fallbacks)
 	}
 	if shardMax > 0 {
 		out += fmt.Sprintf("shards: %d, chunks stolen %d, deaths %d, knowledge imported %d verdicts / %d cores, rejected %d\n",
@@ -464,9 +435,9 @@ func solverSummary(rows []SubjectResult) string {
 			hbMissed, hedges, hedgeWins, hedgeLosses, reconnects, lateJoins, degraded)
 	}
 	if governPolls > 0 { // a memory governor was in play
-		out += fmt.Sprintf("memory: %d governor polls (%d soft / %d high / %d critical), cache shrinks %d (%d B freed), contexts retired %d (%d B), spills %d (%d items, %d reloads, %d failures)\n",
+		out += fmt.Sprintf("memory: %d governor polls (%d soft / %d high / %d critical), cache shrinks %d (%d B freed), spills %d (%d items, %d reloads, %d failures)\n",
 			governPolls, rungSoft, rungHigh, rungCritical,
-			shrinks, shrinkBytes, retires, retireBytes,
+			shrinks, shrinkBytes,
 			spills, spilledItems, reloads, spillFails)
 		if memStopped > 0 {
 			out += fmt.Sprintf("memory-stopped runs: %d (each returned its best-so-far anytime pool)\n", memStopped)
@@ -644,7 +615,7 @@ func Table5(opts RunOptions) []Table5Row {
 		for _, rg := range ranges {
 			clone := *s
 			clone.ParamRange = interval.New(rg[0], rg[1])
-			clone.parsed = false // fresh parse cache
+			clone.parse = nil // fresh parse cache
 			row := Table5Row{Subject: s, Range: rg}
 			r := runCPR(&clone, opts)
 			row.CPR, row.Rank, row.RankFound, row.Err = r.CPR, r.Rank, r.RankFound, r.Err

@@ -69,21 +69,13 @@ type Stats struct {
 	// SolverQueries totals SMT queries; CacheHits/CacheMisses count the
 	// verdict cache's traffic from those queries.
 	SolverQueries, CacheHits, CacheMisses uint64
-	// Incremental-solver counters (zero with SMT.Incremental off): encoding
-	// reuse, CDCL clause learning/retention/deletion, and unsat assumption
-	// cores — see the matching core.Stats fields.
-	EncodeCacheHits, EncodeCacheMisses          uint64
-	ClausesLearned, ClausesKept, ClausesDeleted uint64
-	AssumptionCores, AssumptionCoreLits         uint64
+	// CDCL clause learning/deletion — see the matching core.Stats fields.
+	ClausesLearned, ClausesDeleted uint64
 	// Self-healing health counters — see the matching core.Stats fields.
 	Validations, ValidationFailures uint64
 	Quarantines, FallbackSolves     uint64
-	RebuildRetries, BreakerTrips    uint64
 	// Solver wall-time breakdown — see the matching core.Stats fields.
 	SatTime, LIATime, ValidateTime time.Duration
-	// Portfolio-race counters (zero with SMT.Portfolio < 2) — see the
-	// matching core.Stats fields.
-	PortfolioRaces, PortfolioMirrorWins, PortfolioShared uint64
 }
 
 // ReductionRatio is 1 − PFinal/PInit.
@@ -307,25 +299,15 @@ func fillSolverStats(stats *Stats, solver *smt.Solver, base smt.Stats) {
 	stats.SolverQueries = ss.Queries
 	stats.CacheHits = ss.CacheHits
 	stats.CacheMisses = ss.CacheMisses
-	stats.EncodeCacheHits = ss.EncodeCacheHits
-	stats.EncodeCacheMisses = ss.EncodeCacheMisses
 	stats.ClausesLearned = ss.ClausesLearned
-	stats.ClausesKept = ss.ClausesKept
 	stats.ClausesDeleted = ss.ClausesDeleted
-	stats.AssumptionCores = ss.AssumptionCores
-	stats.AssumptionCoreLits = ss.AssumptionCoreLits
 	stats.Validations = ss.Validations
 	stats.ValidationFailures = ss.ValidationFailures
 	stats.Quarantines = ss.Quarantines
 	stats.FallbackSolves = ss.FallbackSolves
-	stats.RebuildRetries = ss.RebuildRetries
-	stats.BreakerTrips = ss.BreakerTrips
 	stats.SatTime = ss.SatTime
 	stats.LIATime = ss.LIATime
 	stats.ValidateTime = ss.ValidateTime
-	stats.PortfolioRaces = ss.PortfolioRaces
-	stats.PortfolioMirrorWins = ss.PortfolioMirrorWins
-	stats.PortfolioShared = ss.PortfolioShared
 }
 
 func sumExcept(counts []int64, skip int) int64 {

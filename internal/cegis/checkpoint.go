@@ -19,7 +19,7 @@ import (
 // cegisSnapVersion is the schema version of the baseline's snapshot
 // payload; bump on any encoding change. The container format is owned by
 // internal/journal.
-const cegisSnapVersion = 1
+const cegisSnapVersion = 2
 
 // exploreState is phase 1's resumable loop state. A zero value starts the
 // phase fresh; a restored value continues it. After the phase completes,
@@ -410,19 +410,12 @@ func encodeSolverStats(m *journal.Encoder, s smt.Stats) {
 	m.U64(s.Panics)
 	m.U64(s.CacheHits)
 	m.U64(s.CacheMisses)
-	m.U64(s.EncodeCacheHits)
-	m.U64(s.EncodeCacheMisses)
 	m.U64(s.ClausesLearned)
-	m.U64(s.ClausesKept)
 	m.U64(s.ClausesDeleted)
-	m.U64(s.AssumptionCores)
-	m.U64(s.AssumptionCoreLits)
 	m.U64(s.Validations)
 	m.U64(s.ValidationFailures)
 	m.U64(s.Quarantines)
 	m.U64(s.FallbackSolves)
-	m.U64(s.RebuildRetries)
-	m.U64(s.BreakerTrips)
 }
 
 func decodeSolverStats(d *journal.Decoder, s *smt.Stats) {
@@ -434,19 +427,12 @@ func decodeSolverStats(d *journal.Decoder, s *smt.Stats) {
 	s.Panics = d.U64()
 	s.CacheHits = d.U64()
 	s.CacheMisses = d.U64()
-	s.EncodeCacheHits = d.U64()
-	s.EncodeCacheMisses = d.U64()
 	s.ClausesLearned = d.U64()
-	s.ClausesKept = d.U64()
 	s.ClausesDeleted = d.U64()
-	s.AssumptionCores = d.U64()
-	s.AssumptionCoreLits = d.U64()
 	s.Validations = d.U64()
 	s.ValidationFailures = d.U64()
 	s.Quarantines = d.U64()
 	s.FallbackSolves = d.U64()
-	s.RebuildRetries = d.U64()
-	s.BreakerTrips = d.U64()
 }
 
 func lenCheck(d *journal.Decoder, n uint64, what string) error {

@@ -65,7 +65,7 @@ func (o CheckpointOptions) warnf(format string, args ...any) {
 
 // coreSnapVersion is the schema version of the engine-state payload inside
 // a snapshot container; bump on any encoding change.
-const coreSnapVersion = 1
+const coreSnapVersion = 2
 
 // exploreState is one explore phase's resumable loop state: the frontier,
 // the explored-prefix set, and the iteration cursor. A zero value starts
@@ -121,7 +121,7 @@ func (e *engine) atBarrier(st *exploreState, phaseStats *Stats) {
 	faultinject.CrashPoint()
 	// Memory governance last: a crash injected at this barrier must replay
 	// from the snapshot just written, and the governor's actions (shrink,
-	// retire, spill) are all result-neutral, so their position after the
+	// spill) are all result-neutral, so their position after the
 	// snapshot cannot change what a resumed run computes.
 	e.governAtBarrier(st)
 }
@@ -601,19 +601,12 @@ func encodeStats(m *journal.Encoder, s *Stats) {
 	m.U64(s.CacheMisses)
 	m.U64(s.CacheEvictions)
 	m.U64(s.CacheSubsumed)
-	m.U64(s.EncodeCacheHits)
-	m.U64(s.EncodeCacheMisses)
 	m.U64(s.ClausesLearned)
-	m.U64(s.ClausesKept)
 	m.U64(s.ClausesDeleted)
-	m.U64(s.AssumptionCores)
-	m.U64(s.AssumptionCoreLits)
 	m.U64(s.Validations)
 	m.U64(s.ValidationFailures)
 	m.U64(s.Quarantines)
 	m.U64(s.FallbackSolves)
-	m.U64(s.RebuildRetries)
-	m.U64(s.BreakerTrips)
 }
 
 func decodeStats(d *journal.Decoder, s *Stats) {
@@ -640,19 +633,12 @@ func decodeStats(d *journal.Decoder, s *Stats) {
 	s.CacheMisses = d.U64()
 	s.CacheEvictions = d.U64()
 	s.CacheSubsumed = d.U64()
-	s.EncodeCacheHits = d.U64()
-	s.EncodeCacheMisses = d.U64()
 	s.ClausesLearned = d.U64()
-	s.ClausesKept = d.U64()
 	s.ClausesDeleted = d.U64()
-	s.AssumptionCores = d.U64()
-	s.AssumptionCoreLits = d.U64()
 	s.Validations = d.U64()
 	s.ValidationFailures = d.U64()
 	s.Quarantines = d.U64()
 	s.FallbackSolves = d.U64()
-	s.RebuildRetries = d.U64()
-	s.BreakerTrips = d.U64()
 }
 
 func encodeSolverStats(m *journal.Encoder, s smt.Stats) {
@@ -664,19 +650,12 @@ func encodeSolverStats(m *journal.Encoder, s smt.Stats) {
 	m.U64(s.Panics)
 	m.U64(s.CacheHits)
 	m.U64(s.CacheMisses)
-	m.U64(s.EncodeCacheHits)
-	m.U64(s.EncodeCacheMisses)
 	m.U64(s.ClausesLearned)
-	m.U64(s.ClausesKept)
 	m.U64(s.ClausesDeleted)
-	m.U64(s.AssumptionCores)
-	m.U64(s.AssumptionCoreLits)
 	m.U64(s.Validations)
 	m.U64(s.ValidationFailures)
 	m.U64(s.Quarantines)
 	m.U64(s.FallbackSolves)
-	m.U64(s.RebuildRetries)
-	m.U64(s.BreakerTrips)
 }
 
 func decodeSolverStats(d *journal.Decoder, s *smt.Stats) {
@@ -688,19 +667,12 @@ func decodeSolverStats(d *journal.Decoder, s *smt.Stats) {
 	s.Panics = d.U64()
 	s.CacheHits = d.U64()
 	s.CacheMisses = d.U64()
-	s.EncodeCacheHits = d.U64()
-	s.EncodeCacheMisses = d.U64()
 	s.ClausesLearned = d.U64()
-	s.ClausesKept = d.U64()
 	s.ClausesDeleted = d.U64()
-	s.AssumptionCores = d.U64()
-	s.AssumptionCoreLits = d.U64()
 	s.Validations = d.U64()
 	s.ValidationFailures = d.U64()
 	s.Quarantines = d.U64()
 	s.FallbackSolves = d.U64()
-	s.RebuildRetries = d.U64()
-	s.BreakerTrips = d.U64()
 }
 
 func encodeRegion(m *journal.Encoder, r interval.Region) {

@@ -107,14 +107,6 @@ type Options struct {
 	// whose control flow the patch affects, so patches that fire on most
 	// of a partition (functionality-deletion behavior) gain less.
 	ModelCountRanking bool
-	// Batch groups per-patch feasibility checks — pool-reduction
-	// compatibility tests and flip-feasibility scans — into chunked group
-	// queries (smt.DecideBatch): one solver call covers a whole chunk when
-	// the verdicts agree, and an assumption core or bisection attributes
-	// mixed verdicts. Per-patch verdicts are identical with batching on or
-	// off, and models still come from the exact unbatched query, so the
-	// repair result does not change; only solver work does.
-	Batch bool
 	// Queue selects the exploration frontier policy (ablation of the
 	// §3.4 input ranking; default QueueRanked).
 	Queue QueuePolicy
@@ -137,7 +129,7 @@ type Options struct {
 	Checkpoint CheckpointOptions
 	// Govern, when non-nil, is the memory governor (internal/govern): the
 	// engine polls it at every generation barrier and applies its rung's
-	// degradation actions — cache shrinks, context retirement, frontier
+	// degradation actions — cache shrinks, frontier
 	// spill, and (under sustained critical pressure) the anytime stop. Nil
 	// means no governance; a daemon shares one governor across jobs.
 	Govern *govern.Governor
@@ -221,41 +213,23 @@ type Stats struct {
 	// and CacheEvictions counts LRU evictions.
 	SolverQueries                                         uint64
 	CacheHits, CacheMisses, CacheEvictions, CacheSubsumed uint64
-	// Incremental-solver counters, aggregated across workers (all zero
-	// with SMT.Incremental off). EncodeCacheHits/EncodeCacheMisses count
-	// per-conjunct encoding reuse; ClausesLearned/ClausesDeleted count CDCL
-	// clause learning and activity-driven deletion, and ClausesKept is the
-	// learned-clause count retained across queries at the end of the run;
-	// AssumptionCores counts unsat answers that produced a narrowing
-	// assumption core and AssumptionCoreLits sums their sizes.
-	EncodeCacheHits, EncodeCacheMisses          uint64
-	ClausesLearned, ClausesKept, ClausesDeleted uint64
-	AssumptionCores, AssumptionCoreLits         uint64
+	// CDCL clause counters, aggregated across workers: clauses learned
+	// and clauses dropped by activity-driven deletion.
+	ClausesLearned, ClausesDeleted uint64
 	// Self-healing health counters, aggregated across workers (package
 	// smt/guard). Validations counts verdict validations (sat-model
 	// replays + sampled unsat cross-checks) and ValidationFailures the
 	// verdicts they rejected — every rejected verdict was replaced by a
 	// lower-rung solve or degraded to Unknown, never observed by the
-	// repair loop. Quarantines counts solver layers taken out of service,
-	// FallbackSolves queries served below their natural tier,
-	// RebuildRetries quarantined contexts readmitted after backoff, and
-	// BreakerTrips per-worker circuit breakers pinned to scratch mode.
+	// repair loop. Quarantines counts poisoned cache entries pulled and
+	// reused solver storage taken out of service, and FallbackSolves
+	// queries served below their natural tier.
 	Validations, ValidationFailures uint64
 	Quarantines, FallbackSolves     uint64
-	RebuildRetries, BreakerTrips    uint64
 	// Wall-time breakdown of solver work, summed across workers: CDCL
-	// search (portfolio races included), the LIA procedure, and verdict
-	// validation (model replays plus sampled cross-checks).
+	// search, the LIA procedure, and verdict validation (model replays
+	// plus sampled cross-checks).
 	SatTime, LIATime, ValidateTime time.Duration
-	// Portfolio counters, aggregated across workers (all zero with
-	// SMT.Portfolio < 2): races escalated past the leader-alone threshold,
-	// races a non-default configuration won, and learned clauses imported
-	// from race winners.
-	PortfolioRaces, PortfolioMirrorWins, PortfolioShared uint64
-	// Batched-feasibility counters (all zero with Options.Batch off):
-	// group queries issued, per-patch verdicts answered by a group result
-	// rather than an individual solve, and mixed-verdict bisection splits.
-	BatchQueries, BatchItems, BatchBisections uint64
 	// Sharding counters (all zero without Options.NewDistributor). Shards
 	// is the configured shard count; ShardSteals counts work chunks
 	// executed away from their statically-owning shard (rebalancing),
@@ -278,8 +252,7 @@ type Stats struct {
 	ShardReconnects, ShardLateJoins, ShardDegradedStarts            uint64
 	// Memory-governor counters (all zero without Options.Govern): barrier
 	// polls classified at each rung, verdict-cache shrinks (count and bytes
-	// freed), incremental solver contexts retired (count and approximate
-	// bytes), frontier cold-tail spills (batches, items, reloads, and
+	// freed), frontier cold-tail spills (batches, items, reloads, and
 	// unreadable batches), and whether sustained critical pressure stopped
 	// the run (MemStopped implies TimedOut: the stop IS the budget-expiry
 	// path). GovernPolls/GovernTransitions count this run's own barrier
@@ -288,7 +261,6 @@ type Stats struct {
 	// they describe memory scheduling, not the repair trajectory.
 	MemRungSoft, MemRungHigh, MemRungCritical uint64
 	MemCacheShrinks, MemCacheShrinkBytes      uint64
-	MemContextRetires, MemContextRetireBytes  uint64
 	MemSpills, MemSpilledItems, MemReloads    uint64
 	MemSpillLoadFailures                      uint64
 	MemStopped                                bool
@@ -537,60 +509,24 @@ func Repair(job Job, opts Options) (*Result, error) {
 	for _, w := range eng.workers {
 		agg = agg.Add(w.solver.Stats()).Add(w.retrySolver.Stats())
 	}
+	if eng.dist != nil {
+		// Shard solvers did the distributed batches' work; their counters
+		// fold into the same aggregate the local workers feed.
+		agg = agg.Add(eng.dist.SolverStats())
+	}
 	stats.SolverQueries = agg.Queries
 	stats.CacheHits = agg.CacheHits
 	stats.CacheMisses = agg.CacheMisses
-	stats.EncodeCacheHits = agg.EncodeCacheHits
-	stats.EncodeCacheMisses = agg.EncodeCacheMisses
 	stats.ClausesLearned = agg.ClausesLearned
-	stats.ClausesKept = agg.ClausesKept
 	stats.ClausesDeleted = agg.ClausesDeleted
-	stats.AssumptionCores = agg.AssumptionCores
-	stats.AssumptionCoreLits = agg.AssumptionCoreLits
 	stats.Validations = agg.Validations
 	stats.ValidationFailures = agg.ValidationFailures
 	stats.Quarantines = agg.Quarantines
 	stats.FallbackSolves = agg.FallbackSolves
-	stats.RebuildRetries = agg.RebuildRetries
-	stats.BreakerTrips = agg.BreakerTrips
 	stats.SatTime = agg.SatTime
 	stats.LIATime = agg.LIATime
 	stats.ValidateTime = agg.ValidateTime
-	stats.PortfolioRaces = agg.PortfolioRaces
-	stats.PortfolioMirrorWins = agg.PortfolioMirrorWins
-	stats.PortfolioShared = agg.PortfolioShared
-	stats.BatchQueries = agg.BatchQueries
-	stats.BatchItems = agg.BatchItems
-	stats.BatchBisections = agg.BatchBisections
 	if eng.dist != nil {
-		// Shard solvers did the distributed batches' work; their counters
-		// fold into the same aggregate the local workers feed.
-		sagg := agg.Add(eng.dist.SolverStats())
-		stats.SolverQueries = sagg.Queries
-		stats.CacheHits = sagg.CacheHits
-		stats.CacheMisses = sagg.CacheMisses
-		stats.EncodeCacheHits = sagg.EncodeCacheHits
-		stats.EncodeCacheMisses = sagg.EncodeCacheMisses
-		stats.ClausesLearned = sagg.ClausesLearned
-		stats.ClausesKept = sagg.ClausesKept
-		stats.ClausesDeleted = sagg.ClausesDeleted
-		stats.AssumptionCores = sagg.AssumptionCores
-		stats.AssumptionCoreLits = sagg.AssumptionCoreLits
-		stats.Validations = sagg.Validations
-		stats.ValidationFailures = sagg.ValidationFailures
-		stats.Quarantines = sagg.Quarantines
-		stats.FallbackSolves = sagg.FallbackSolves
-		stats.RebuildRetries = sagg.RebuildRetries
-		stats.BreakerTrips = sagg.BreakerTrips
-		stats.SatTime = sagg.SatTime
-		stats.LIATime = sagg.LIATime
-		stats.ValidateTime = sagg.ValidateTime
-		stats.PortfolioRaces = sagg.PortfolioRaces
-		stats.PortfolioMirrorWins = sagg.PortfolioMirrorWins
-		stats.PortfolioShared = sagg.PortfolioShared
-		stats.BatchQueries = sagg.BatchQueries
-		stats.BatchItems = sagg.BatchItems
-		stats.BatchBisections = sagg.BatchBisections
 		dc := eng.dist.Counters()
 		stats.Shards = dc.Shards
 		stats.ShardSteals = dc.Steals
@@ -695,7 +631,6 @@ type engine struct {
 	memStopped                       bool
 	memSoft, memHigh, memCritical    uint64
 	memShrinks, memShrinkBytes       uint64
-	memRetires, memRetireBytes       uint64
 	memSpills, memSpilledItems       uint64
 	memReloads, memSpillLoadFailures uint64
 	governPolls, governTransitions   uint64
@@ -703,7 +638,7 @@ type engine struct {
 	frontierPeakBytes, seenPeakBytes uint64
 	poolPeakBytes                    uint64
 	gFrontierBytes, gSeenBytes       atomic.Uint64
-	gPoolBytes, gSolverBytes         atomic.Uint64
+	gPoolBytes                       atomic.Uint64
 }
 
 // noteSolverErr classifies and counts a degraded solver answer; it
@@ -1057,10 +992,6 @@ func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Int
 		return it, true, false
 	}
 
-	if e.opts.Batch && len(e.pool.Ranked()) > 1 {
-		return e.pickNewInputBatched(flip, cons, bounds, solver, buildItem)
-	}
-
 	unknown := false
 	for _, p := range e.pool.Ranked() {
 		psi := e.patchFormula(p, flip.HoleHits)
@@ -1117,13 +1048,8 @@ func (e *engine) reduce(exec *concolic.Execution, stats *Stats, validation bool)
 	patches := e.pool.Patches
 	outs := make([]ReduceOutcome, len(patches))
 	if !e.distributeReduce(rc, outs) {
-		feas := e.batchFeasibility(rc.Phi, rc.HoleHits, patches)
 		e.fanOut(len(patches), func(w *workerCtx, i int) {
-			var fv *smt.BatchVerdict
-			if feas != nil {
-				fv = &feas[i]
-			}
-			outs[i] = e.reduceOne(rc, patches[i], fv, w.solver)
+			outs[i] = e.reduceOne(rc, patches[i], w.solver)
 		})
 	}
 	// Commit in pool order: patches aliases the pool's backing array and
@@ -1168,21 +1094,15 @@ func (e *engine) reduce(exec *concolic.Execution, stats *Stats, validation bool)
 // (which snapshots its own degradation atomics around the call to fill
 // the outcome's Unknowns/Panics; on the local path those stay zero and
 // the commit loop's additions are no-ops).
-func (e *engine) reduceOne(rc ReduceContext, p *patch.Patch, fv *smt.BatchVerdict, solver *smt.Solver) ReduceOutcome {
+func (e *engine) reduceOne(rc ReduceContext, p *patch.Patch, solver *smt.Solver) ReduceOutcome {
 	var out ReduceOutcome
 	solver.BeginEpoch() // scope cache-write journaling to this patch
 	psi := e.patchFormula(p, rc.HoleHits)
-	if fv != nil {
-		if e.noteSolverErr(fv.Err) || fv.Status != smt.Sat {
-			return out // cannot reason about ρ on this path
-		}
-	} else {
-		pi := expr.And(rc.Phi, psi, p.ConstraintTerm())
-		b := e.boundsWithParams(e.curBounds, p)
-		sat, err := solver.IsSat(pi, b)
-		if e.noteSolverErr(err) || !sat {
-			return out // cannot reason about ρ on this path
-		}
+	pi := expr.And(rc.Phi, psi, p.ConstraintTerm())
+	b := e.boundsWithParams(e.curBounds, p)
+	sat, err := solver.IsSat(pi, b)
+	if e.noteSolverErr(err) || !sat {
+		return out // cannot reason about ρ on this path
 	}
 	if rc.HitBug {
 		ref := &patch.Refiner{Solver: solver, InputBounds: e.curBounds}

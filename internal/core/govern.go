@@ -13,8 +13,7 @@ import (
 // applies the rung's degradation actions, every one of which reuses a
 // result-neutral mechanism:
 //
-//	soft     → shrink the verdict cache to half, retire incremental
-//	           solver contexts (both pure acceleration structures)
+//	soft     → shrink the verdict cache to half (pure memoization)
 //	high     → soft at quarter target + spill the frontier's cold tail
 //	           to disk (spill.go preserves the logical pop/evict order)
 //	critical → shrink to zero / spill to a minimal hot set; pressure
@@ -23,7 +22,7 @@ import (
 //	           anytime best-so-far result, exactly like a budget expiry
 //
 // Between barriers the engine also refreshes byte gauges (frontier, seen
-// set, pool, solver contexts) that it registers as governor sources, so a
+// set, pool) that it registers as governor sources, so a
 // daemon's background ticker sees per-job accounting without touching
 // engine-owned state: sources read only these atomics.
 
@@ -66,7 +65,6 @@ func (e *engine) registerGovernSources() func() {
 		g.Register(prefix+"/frontier", e.gFrontierBytes.Load),
 		g.Register(prefix+"/seen", e.gSeenBytes.Load),
 		g.Register(prefix+"/pool", e.gPoolBytes.Load),
-		g.Register(prefix+"/solver", e.gSolverBytes.Load),
 	}
 	if e.ownCache {
 		unregs = append(unregs, g.Register(prefix+"/cache", e.opts.SMT.Cache.ApproxBytes))
@@ -120,14 +118,6 @@ func (e *engine) governAtBarrier(st *exploreState) {
 			e.memShrinkBytes += freed
 		}
 	}
-	// Retire incremental solver contexts (workers are idle at a barrier).
-	// The next query rebuilds; same mechanism as the MaxContextClauses cap.
-	for _, w := range e.workers {
-		r, f := w.solver.TrimMemory()
-		r2, f2 := w.retrySolver.TrimMemory()
-		e.memRetires += uint64(r + r2)
-		e.memRetireBytes += f + f2
-	}
 	// High and critical: move the frontier's cold tail out of the heap.
 	if rung >= govern.RungHigh {
 		keep := e.opts.MaxQueue / spillHotHigh
@@ -156,14 +146,9 @@ func (e *engine) updateMemGauges(st *exploreState) {
 	fl := st.frontierLen()
 	sb := uint64(len(st.seen)) * seenEntryBytes
 	pb := approxPoolBytes(e.pool)
-	var solv uint64
-	for _, w := range e.workers {
-		solv += w.solver.ApproxMemBytes() + w.retrySolver.ApproxMemBytes()
-	}
 	e.gFrontierBytes.Store(fb)
 	e.gSeenBytes.Store(sb)
 	e.gPoolBytes.Store(pb)
-	e.gSolverBytes.Store(solv)
 	if fl > e.frontierPeak {
 		e.frontierPeak = fl
 	}
@@ -227,8 +212,6 @@ func (e *engine) copyMemStats(stats *Stats) {
 	stats.MemRungCritical = e.memCritical
 	stats.MemCacheShrinks = e.memShrinks
 	stats.MemCacheShrinkBytes = e.memShrinkBytes
-	stats.MemContextRetires = e.memRetires
-	stats.MemContextRetireBytes = e.memRetireBytes
 	stats.MemSpills = e.memSpills
 	stats.MemSpilledItems = e.memSpilledItems
 	stats.MemReloads = e.memReloads

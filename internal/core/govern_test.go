@@ -12,13 +12,10 @@ import (
 )
 
 // governedOpts builds the option set the governor differential tests run
-// under: incremental solving on (so context retirement has something to
-// retire) and the given governor. Identical modulo Govern, so the
-// baseline and the pressured run differ only in governance.
+// under. Identical modulo Govern, so the baseline and the pressured run
+// differ only in governance.
 func governedOpts(workers int, g *govern.Governor) Options {
-	o := Options{Workers: workers, Govern: g}
-	o.SMT.Incremental = true
-	return o
+	return Options{Workers: workers, Govern: g}
 }
 
 // TestGovernForcedRungsBitIdentical is the tentpole's differential
@@ -67,9 +64,6 @@ func TestGovernForcedRungsBitIdentical(t *testing.T) {
 				}
 				if st.MemCacheShrinks == 0 {
 					t.Error("no verdict-cache shrink under pressure")
-				}
-				if st.MemContextRetires == 0 {
-					t.Error("no incremental context retired under pressure")
 				}
 				if st.MemStopped || st.TimedOut {
 					t.Errorf("transient %s pressure stopped the run: stopped=%v timedOut=%v", rung, st.MemStopped, st.TimedOut)

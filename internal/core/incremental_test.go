@@ -6,52 +6,47 @@ import (
 	"cpr/internal/faultinject"
 )
 
-// TestIncrementalRepairDifferential is the tentpole's acceptance contract:
-// with SMT.Incremental on, the repair result — pool, constraints, ranking,
-// and every headline stat — is identical to scratch mode, at one worker
-// and at many. Verdicts are decided on the persistent context but models
-// still come from the deterministic scratch path, so this must hold
-// exactly.
+// TestIncrementalRepairDifferential: every engine worker answers its whole
+// query stream on one long-lived solver that resets and reuses its
+// storage between queries. With the guard in paranoid mode, every unsat
+// verdict is cross-checked by an independent solver with its own storage
+// history and every sat model is replayed, so state leaking from one
+// query into the next would surface as a validation failure. None may
+// occur, and the repair result — pool, constraints, ranking, and every
+// headline stat — must be identical to the unguarded run, at one worker
+// and at many.
 func TestIncrementalRepairDifferential(t *testing.T) {
-	scratch, err := Repair(divZeroJob(), Options{Workers: 1})
+	plain, err := Repair(divZeroJob(), Options{Workers: 1})
 	if err != nil {
-		t.Fatalf("Repair scratch: %v", err)
+		t.Fatalf("Repair: %v", err)
 	}
-	if st := scratch.Stats; st.EncodeCacheHits != 0 || st.ClausesKept != 0 || st.AssumptionCores != 0 {
-		t.Fatalf("scratch run reports incremental counters: %+v", st)
-	}
-	want := fingerprint(scratch)
+	want := fingerprint(plain)
 
 	for _, n := range []int{1, testWorkers()} {
 		opts := Options{Workers: n}
-		opts.SMT.Incremental = true
+		opts.SMT.Paranoid = true
 		res, err := Repair(divZeroJob(), opts)
 		if err != nil {
-			t.Fatalf("Repair incremental workers=%d: %v", n, err)
+			t.Fatalf("Repair paranoid workers=%d: %v", n, err)
 		}
 		if got := fingerprint(res); got != want {
-			t.Fatalf("incremental workers=%d diverged from scratch:\n--- want ---\n%s--- got ---\n%s", n, want, got)
+			t.Fatalf("paranoid workers=%d diverged:\n--- want ---\n%s--- got ---\n%s", n, want, got)
 		}
 		st := res.Stats
-		if st.EncodeCacheHits == 0 {
-			t.Errorf("workers=%d: no encoding reuse over %d queries", n, st.SolverQueries)
-		}
-		if st.ClausesKept == 0 && st.ClausesLearned > 0 {
-			t.Errorf("workers=%d: learned %d clauses but retained none", n, st.ClausesLearned)
+		if st.Validations == 0 || st.ValidationFailures != 0 || st.FallbackSolves != 0 {
+			t.Errorf("workers=%d: reused-storage verdicts did not all validate: %+v", n, st)
 		}
 	}
 }
 
-// TestIncrementalRepairSurvivesSolverFaults: the faultinject suite's
-// guarantee must hold with the persistent context too — injected panics
-// mid-run discard at most the context (rebuilt lazily), never the run, and
-// are counted.
+// TestIncrementalRepairSurvivesSolverFaults: injected panics and timeouts
+// mid-run hit solvers whose storage is reused across queries. A panic
+// discards at most that storage (rebuilt on the next query), never the
+// run, and every fault is counted.
 func TestIncrementalRepairSurvivesSolverFaults(t *testing.T) {
 	for _, kind := range []faultinject.Fault{faultinject.SolverPanic, faultinject.SolverTimeout} {
 		faultinject.Activate(&faultinject.Plan{SolverEvery: 5, SolverKind: kind})
-		opts := Options{Workers: 1}
-		opts.SMT.Incremental = true
-		res, err := Repair(divZeroJob(), opts)
+		res, err := Repair(divZeroJob(), Options{Workers: 1})
 		faultinject.Deactivate()
 		if err != nil {
 			t.Fatalf("kind %v: Repair under faults: %v", kind, err)

@@ -475,21 +475,19 @@ func (acc *naryAcc) add(a *Term) {
 	acc.flat = append(acc.flat, a)
 }
 
-// And returns the conjunction of the operands, flattening nested
-// conjunctions, dropping trues, and short-circuiting on false. And() is
-// true. Flattening is one level deep by constructor invariant: the args
-// of an interned OpAnd term are never themselves OpAnd (this function
-// flattened them), which keeps the loop iterative so the stack buffer
-// stays on the stack.
-func And(args ...*Term) *Term {
-	var buf [narySmall]*Term
-	acc := naryAcc{flat: buf[:0]}
+// addConj adds And's operands to the accumulator: flattening nested
+// conjunctions, dropping trues. It reports false when an operand is false
+// (the conjunction short-circuits). Flattening is one level deep by
+// constructor invariant: the args of an interned OpAnd term are never
+// themselves OpAnd (And flattened them), which keeps the loop iterative so
+// a caller's stack buffer stays on the stack.
+func (acc *naryAcc) addConj(args []*Term) bool {
 	for _, a := range args {
 		wantSort(a, SortBool, "And")
 		switch {
 		case a.IsTrue():
 		case a.IsFalse():
-			return False()
+			return false
 		case a.Op == OpAnd:
 			for _, sub := range a.Args {
 				acc.add(sub)
@@ -498,6 +496,18 @@ func And(args ...*Term) *Term {
 			acc.add(a)
 		}
 	}
+	return true
+}
+
+// And returns the conjunction of the operands, flattening nested
+// conjunctions, dropping trues, and short-circuiting on false. And() is
+// true.
+func And(args ...*Term) *Term {
+	var buf [narySmall]*Term
+	acc := naryAcc{flat: buf[:0]}
+	if !acc.addConj(args) {
+		return False()
+	}
 	switch len(acc.flat) {
 	case 0:
 		return True()
@@ -505,6 +515,21 @@ func And(args ...*Term) *Term {
 		return acc.flat[0]
 	}
 	return mk(OpAnd, SortBool, 0, "", acc.flat...)
+}
+
+// AndArgs appends to dst[:0] the conjunct list And(args...) would build —
+// flattened, deduplicated, trues dropped — without interning the
+// conjunction itself, and returns it. The list is empty when the
+// conjunction is true and exactly [False()] when it is false; a single
+// element is the term And would return. Solvers use it to work on a
+// query's top-level conjuncts without adding a wide, single-use OpAnd
+// term to the never-evicting interner.
+func AndArgs(dst []*Term, args ...*Term) []*Term {
+	acc := naryAcc{flat: dst[:0]}
+	if !acc.addConj(args) {
+		return append(dst[:0], False())
+	}
+	return acc.flat
 }
 
 // Or returns the disjunction of the operands, flattening nested

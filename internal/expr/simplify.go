@@ -116,8 +116,14 @@ func floorDiv(a, b int64) int64 {
 // Structurally distinct but semantically identical atoms such as x+1 > y
 // and x >= y therefore intern to the same term.
 func Simplify(t *Term) *Term {
-	cache := make(map[*Term]*Term)
-	return simplifyCached(t, cache)
+	return SimplifyWith(t, make(map[*Term]*Term))
+}
+
+// SimplifyWith is Simplify with a caller-owned memo. Simplification is a
+// pure function of the interned term, so one memo may serve many calls —
+// every conjunct of a solver query, for instance.
+func SimplifyWith(t *Term, memo map[*Term]*Term) *Term {
+	return simplifyCached(t, memo)
 }
 
 func simplifyCached(t *Term, cache map[*Term]*Term) *Term {

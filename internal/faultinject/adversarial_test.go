@@ -35,13 +35,12 @@ func repairFingerprint(res *core.Result) string {
 	return b.String()
 }
 
-// cleanScratchRun is the trusted reference: sequential, scratch-mode,
-// no faults. Every lying run must reproduce it exactly.
+// cleanScratchRun is the trusted reference: sequential, no faults. Every
+// lying run must reproduce it exactly.
 func cleanScratchRun(t *testing.T) *core.Result {
 	t.Helper()
 	faultinject.Deactivate()
 	opts := core.Options{Workers: 1}
-	opts.SMT.Incremental = false
 	res, err := core.Repair(divZeroJob(), opts)
 	if err != nil {
 		t.Fatalf("clean scratch Repair: %v", err)
@@ -54,7 +53,6 @@ func runLying(t *testing.T, kind faultinject.Fault, workers int) *core.Result {
 	faultinject.Activate(&faultinject.Plan{LieEvery: 1, LieKind: kind})
 	defer faultinject.Deactivate()
 	opts := core.Options{Workers: workers}
-	opts.SMT.Incremental = true
 	opts.SMT.Paranoid = true
 	res, err := core.Repair(divZeroJob(), opts)
 	if err != nil {
@@ -92,14 +90,6 @@ func TestRepairUnderFlippedModels(t *testing.T) {
 
 func TestRepairUnderSpuriousUnsat(t *testing.T) {
 	testLieClass(t, faultinject.SolverSpuriousUnsat, true)
-}
-
-// A truncated core may remain genuinely unsat (dropping conjuncts of an
-// unsat core does not always make it satisfiable), in which case accepting
-// it is sound — so this class asserts identity and validation activity,
-// not a failure count.
-func TestRepairUnderTruncatedCores(t *testing.T) {
-	testLieClass(t, faultinject.SolverTruncateCore, false)
 }
 
 // The quarantine/fallback machinery must be visible to operators: with

@@ -2,21 +2,21 @@
 // system's big structures and turns host memory pressure into a watermark
 // ladder of degradation actions.
 //
-// Owners of memory-hungry structures (verdict cache, incremental solver
-// contexts, exploration frontier, serving jobs) register cheap size
+// Owners of memory-hungry structures (verdict cache, exploration
+// frontier, serving jobs) register cheap size
 // callbacks; the governor polls them together with the Go runtime's heap
 // figures (runtime/metrics) and classifies the total against three
 // watermarks:
 //
-//	soft     → shrink caches, retire incremental contexts, force reduceDB
+//	soft     → shrink caches
 //	high     → soft actions + spill the frontier's cold tail to disk
 //	critical → maximum-aggression shrink/spill; sustained critical makes
 //	           the engine fall back to its anytime best-so-far result,
 //	           exactly like a budget expiry
 //
 // Every rung below the sustained-critical stop reuses mechanisms that are
-// proven result-neutral (memoization caches, context retirement, spill
-// with logical-order-preserving reload), so forcing any rung produces a
+// proven result-neutral (memoization caches, spill with
+// logical-order-preserving reload), so forcing any rung produces a
 // bit-identical repair result. The governor itself decides nothing about
 // *what* to shrink — it only classifies pressure; the owners act.
 //

@@ -54,7 +54,7 @@ func TestMemoryStormShedsAndSurvives(t *testing.T) {
 	defer faultinject.Deactivate()
 
 	g := govern.New(stormWatermarks())
-	s := newTestServer(t, Config{Runners: 2, Govern: g, GovernTick: -1, Incremental: true})
+	s := newTestServer(t, Config{Runners: 2, Govern: g, GovernTick: -1})
 	s.Start()
 	defer s.Drain(30 * time.Second)
 
@@ -201,7 +201,7 @@ func TestMemPressureNarrowsShardFleets(t *testing.T) {
 // claim is the core differential suite's), with the governance episode
 // visible in the aggregated engine stats.
 func TestGovernedDaemonBitIdentical(t *testing.T) {
-	plain := newTestServer(t, Config{Runners: 1, Incremental: true})
+	plain := newTestServer(t, Config{Runners: 1})
 	plain.Start()
 	defer plain.Drain(30 * time.Second)
 	pv := mustSubmit(t, plain, divZeroSpec("acme", "plain"))
@@ -210,7 +210,7 @@ func TestGovernedDaemonBitIdentical(t *testing.T) {
 	faultinject.Activate(&faultinject.Plan{MemRungEvery: 1, MemRung: int(govern.RungHigh)})
 	defer faultinject.Deactivate()
 	g := govern.New(govern.Config{CriticalStopPolls: 1 << 30})
-	governed := newTestServer(t, Config{Runners: 1, Incremental: true, Govern: g, GovernTick: -1})
+	governed := newTestServer(t, Config{Runners: 1, Govern: g, GovernTick: -1})
 	governed.Start()
 	defer governed.Drain(30 * time.Second)
 	gv := mustSubmit(t, governed, divZeroSpec("acme", "governed"))

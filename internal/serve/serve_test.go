@@ -394,12 +394,15 @@ func TestTenantFairness(t *testing.T) {
 
 func TestWatchStreamsTransitions(t *testing.T) {
 	s := newTestServer(t, Config{Runners: 1})
-	s.Start()
 	v := mustSubmit(t, s, quickSpec("alice", "watched"))
 	ch := s.Watch(v.ID)
 	if ch == nil {
 		t.Fatal("Watch returned nil for a known job")
 	}
+	// Start the runners only once the watch is in place: started earlier,
+	// a runner can take the job before Watch subscribes, and the stream
+	// then begins at running.
+	s.Start()
 	var states []State
 	for ev := range ch {
 		states = append(states, ev.State)

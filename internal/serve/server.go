@@ -92,16 +92,9 @@ type Config struct {
 	// interval for each job (default 4 — denser than the CLI default,
 	// since daemon jobs must survive arbitrary interruption cheaply).
 	CheckpointInterval int
-	// Incremental and Paranoid configure the per-job solver stack as the
-	// CLIs do.
-	Incremental bool
-	Paranoid    bool
-	// Portfolio races that many diverse CDCL configurations on hard
-	// queries (0 or 1 = off); Batch groups per-patch feasibility checks
-	// into chunked group queries. Both change only solver wall time,
-	// never repair results.
-	Portfolio int
-	Batch     bool
+	// Paranoid forces 100% solver verdict validation, as the CLIs'
+	// -paranoid does.
+	Paranoid bool
 
 	// NewDistributor, when set, gives every job attempt a distributed
 	// exploration backend (cmd/cprd wires shard.SpawnFactory here for
@@ -753,7 +746,6 @@ func (s *Server) runJob(j *job) {
 		aggStats(&s.agg, res.Stats)
 		ts.stats.SolverQueries += res.Stats.SolverQueries
 		ts.stats.Quarantines += res.Stats.Quarantines
-		ts.stats.BreakerTrips += res.Stats.BreakerTrips
 		ts.stats.ValidationFailures += res.Stats.ValidationFailures
 		if res.Stats.TimedOut {
 			ts.stats.TimedOutRuns++
@@ -822,14 +814,12 @@ func (s *Server) attempt(j *job, tok *cancel.Token, resume bool) (res *core.Resu
 		// the remaining wall clock on the time already spent.
 		cj.Budget.MaxDuration = time.Duration(j.spec.TimeoutMS) * time.Millisecond
 	}
-	opts := core.Options{Workers: s.cfg.EngineWorkers, Cancel: tok, Batch: s.cfg.Batch}
+	opts := core.Options{Workers: s.cfg.EngineWorkers, Cancel: tok}
 	opts.NewDistributor = s.cfg.NewDistributor
 	if s.cfg.Shards > 0 && s.cfg.MakeDistributor != nil {
 		opts.NewDistributor = s.shardFactory()
 	}
-	opts.SMT.Incremental = s.cfg.Incremental
 	opts.SMT.Paranoid = s.cfg.Paranoid
-	opts.SMT.Portfolio = s.cfg.Portfolio
 	// Governed attempts spill their frontier cold tail under StateDir
 	// (beside the checkpoints) rather than a process temp dir, so the
 	// operator's disk budget and the daemon's durable state live together.
@@ -1064,28 +1054,15 @@ func aggStats(dst *core.Stats, s core.Stats) {
 	dst.CacheMisses += s.CacheMisses
 	dst.CacheEvictions += s.CacheEvictions
 	dst.CacheSubsumed += s.CacheSubsumed
-	dst.EncodeCacheHits += s.EncodeCacheHits
-	dst.EncodeCacheMisses += s.EncodeCacheMisses
 	dst.ClausesLearned += s.ClausesLearned
-	dst.ClausesKept += s.ClausesKept
 	dst.ClausesDeleted += s.ClausesDeleted
-	dst.AssumptionCores += s.AssumptionCores
-	dst.AssumptionCoreLits += s.AssumptionCoreLits
 	dst.Validations += s.Validations
 	dst.ValidationFailures += s.ValidationFailures
 	dst.Quarantines += s.Quarantines
 	dst.FallbackSolves += s.FallbackSolves
-	dst.RebuildRetries += s.RebuildRetries
-	dst.BreakerTrips += s.BreakerTrips
 	dst.SatTime += s.SatTime
 	dst.LIATime += s.LIATime
 	dst.ValidateTime += s.ValidateTime
-	dst.PortfolioRaces += s.PortfolioRaces
-	dst.PortfolioMirrorWins += s.PortfolioMirrorWins
-	dst.PortfolioShared += s.PortfolioShared
-	dst.BatchQueries += s.BatchQueries
-	dst.BatchItems += s.BatchItems
-	dst.BatchBisections += s.BatchBisections
 	// Shard fleet size is a configuration, not a tally: report the widest
 	// fleet any attempt ran with, and sum the event counters.
 	if s.Shards > dst.Shards {
@@ -1111,8 +1088,6 @@ func aggStats(dst *core.Stats, s core.Stats) {
 	dst.MemRungCritical += s.MemRungCritical
 	dst.MemCacheShrinks += s.MemCacheShrinks
 	dst.MemCacheShrinkBytes += s.MemCacheShrinkBytes
-	dst.MemContextRetires += s.MemContextRetires
-	dst.MemContextRetireBytes += s.MemContextRetireBytes
 	dst.MemSpills += s.MemSpills
 	dst.MemSpilledItems += s.MemSpilledItems
 	dst.MemReloads += s.MemReloads

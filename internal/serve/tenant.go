@@ -53,11 +53,10 @@ type TenantStats struct {
 	AttemptsFailed uint64 `json:"attempts_failed"`
 	Retries        uint64 `json:"retries"`
 	// Engine health attributed to this tenant's completed attempts: the
-	// PR 4 self-healing ladder counted per tenant, so one tenant's
-	// quarantine storms are visible as theirs.
+	// self-healing ladder counted per tenant, so one tenant's quarantine
+	// storms are visible as theirs.
 	SolverQueries      uint64 `json:"solver_queries"`
 	Quarantines        uint64 `json:"quarantines"`
-	BreakerTrips       uint64 `json:"breaker_trips"`
 	ValidationFailures uint64 `json:"validation_failures"`
 	TimedOutRuns       uint64 `json:"timed_out_runs"`
 }

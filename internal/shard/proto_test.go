@@ -45,9 +45,7 @@ void main(int x) {
 		InputBounds: map[string]interval.Interval{"x": interval.New(-50, 50)},
 		Budget:      core.Budget{MaxIterations: 9, ValidationIterations: 3},
 	}
-	opts := core.Options{Workers: 1, Batch: true, MaxQueue: 77}
-	opts.SMT.Incremental = true
-	opts.SMT.Portfolio = 3
+	opts := core.Options{Workers: 1, ModelCountRanking: true, MaxQueue: 77}
 	opts.SMT.MaxConflicts = 1234
 	opts.SMT.MaxQueryDuration = 250 * time.Millisecond
 	opts.SMT.Guard.CrossCheckEvery = 16
@@ -96,14 +94,10 @@ func TestWorkerStatsRoundTrip(t *testing.T) {
 	s.Queries, s.TheoryRounds, s.SatAnswers = 2, 3, 5
 	s.UnsatAnswers, s.Unknowns, s.Panics = 7, 11, 13
 	s.CacheHits, s.CacheMisses = 17, 19
-	s.EncodeCacheHits, s.EncodeCacheMisses = 23, 29
-	s.ClausesLearned, s.ClausesKept, s.ClausesDeleted = 31, 37, 41
-	s.AssumptionCores, s.AssumptionCoreLits = 43, 47
+	s.ClausesLearned, s.ClausesDeleted = 31, 41
 	s.SatTime, s.LIATime, s.ValidateTime = 53*time.Millisecond, 59*time.Millisecond, 61*time.Millisecond
-	s.PortfolioRaces, s.PortfolioMirrorWins, s.PortfolioShared = 67, 71, 73
-	s.BatchQueries, s.BatchItems, s.BatchBisections = 79, 83, 89
 	s.Validations, s.ValidationFailures, s.Quarantines = 97, 101, 103
-	s.FallbackSolves, s.RebuildRetries, s.BreakerTrips = 107, 109, 113
+	s.FallbackSolves = 107
 
 	p := buildPayload(func(m *journal.Encoder, te *journal.TermEncoder) { encWorkerStats(m, s) })
 	d, _, err := openPayload(p)

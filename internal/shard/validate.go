@@ -43,18 +43,14 @@ func newValidator(tok *cancel.Token) *validator {
 }
 
 // trustedOpts mirrors the smt layer's own trusted-scratch configuration:
-// non-incremental, cacheless, portfolio-free, with budgets tight enough
-// that a hostile peer cannot stall the coordinator on pathological
-// formulas.
+// cacheless, with budgets tight enough that a hostile peer cannot stall
+// the coordinator on pathological formulas.
 func (v *validator) trusted(def interval.Interval) *smt.Solver {
 	if s, ok := v.solvers[def]; ok {
 		return s
 	}
 	s := smt.NewSolver(smt.Options{
 		DefaultBounds:   def,
-		Incremental:     false,
-		Cache:           nil,
-		Portfolio:       0,
 		MaxConflicts:    2000,
 		MaxTheoryRounds: 1000,
 		Cancel:          v.tok,

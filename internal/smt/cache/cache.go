@@ -71,9 +71,9 @@ type Stats struct {
 }
 
 // Value is a cached verdict: Sat with its model, or unsat. A Sat value
-// with a nil Model is verdict-only — the incremental solver decides
-// verdicts without constructing models, and such entries answer
-// LookupVerdict but not Lookup (which promises a model on sat hits).
+// with a nil Model is verdict-only — feasibility checks (smt Decide) store
+// verdicts without their models, and such entries answer LookupVerdict
+// but not Lookup (which promises a model on sat hits).
 type Value struct {
 	Sat   bool
 	Model expr.Model
@@ -481,9 +481,8 @@ func conjunctSet(f *expr.Term) map[*expr.Term]struct{} {
 	return set
 }
 
-// BoundsKey renders a bounds map canonically, default domain included.
-// Exported for the incremental SMT context, which keys its per-bounds-box
-// solving state exactly the way the cache keys verdicts.
+// BoundsKey renders a bounds map canonically, default domain included:
+// the form exported entries carry and ParseBoundsKey inverts.
 func BoundsKey(bounds map[string]interval.Interval, def interval.Interval) string {
 	return boundsKey(bounds, def)
 }

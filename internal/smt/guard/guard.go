@@ -1,27 +1,28 @@
 // Package guard implements the solver runtime's self-healing layer: the
 // repair loop is only as sound as the verdicts the solver stack returns,
-// and after incremental contexts, retained clause databases, and a shared
-// verdict cache entered the picture, a single wrong fast-path answer could
-// silently corrupt every later patch-pool reduction. The guard makes that
-// failure mode degrade service instead of correctness.
+// and a shared verdict cache means a single wrong answer could silently
+// corrupt every later patch-pool reduction. The guard makes that failure
+// mode degrade service instead of correctness.
 //
-// Three mechanisms, wrapped around every solver tier by package smt:
+// Three mechanisms, wrapped around every solver by package smt:
 //
 //   - Verdict validation. Every sat model is replayed against the original
 //     (pre-Tseitin, pre-purification) term and against the query's variable
 //     domains (ValidateModel); sampled unsat verdicts are cross-checked by
-//     an independent scratch solve (ShouldCrossCheck gates the sampling —
-//     configurable rate, 100% in paranoid mode).
-//   - Quarantine and a graceful-degradation ladder. On any divergence the
-//     offending layer is quarantined and the query is transparently retried
-//     one rung down: incremental context → scratch solve → cache-bypass
-//     scratch solve. A quarantined incremental context is rebuilt only
-//     after a bounded exponential backoff (a cancel.Token deadline), and
-//     repeated failures trip a per-worker circuit breaker that pins that
-//     worker to scratch mode for the rest of the run.
+//     an independent solve (ShouldCrossCheck gates the sampling —
+//     configurable rate, 100% in paranoid mode). A rejected verdict is
+//     transparently re-solved one rung down: cache entry → solve →
+//     cache-bypass trusted solve.
+//   - Quarantine of the reused-storage rung. A solver answers its queries
+//     on one encoder and CDCL instance that it resets between queries; a
+//     verdict rejected on that storage takes the rung out of service, so
+//     the following queries run on freshly allocated storage. The rung is
+//     readmitted after a bounded exponential backoff (a cancel.Token
+//     deadline), and repeated failures trip a per-worker circuit breaker
+//     that pins that worker to fresh storage for the rest of the run.
 //   - Health accounting. Counters() snapshots validations, failures,
-//     quarantines, fallback solves, rebuild retries, and breaker state for
-//     the smt → core/cegis → bench stats pipeline.
+//     quarantines, fallback solves, rebuild retries, and breaker state;
+//     the first four feed the smt → core/cegis → bench stats pipeline.
 //
 // The invariant the callers rely on: a verdict that fails validation is
 // never observed by the repair engine — it is either replaced by a
@@ -57,11 +58,11 @@ type Config struct {
 	// is how the CI paranoid job runs the whole test suite at 100%
 	// validation.
 	Paranoid bool
-	// BreakerThreshold is the number of incremental-rung validation
-	// failures that trips the per-worker circuit breaker (default 3).
+	// BreakerThreshold is the number of reused-storage validation failures
+	// that trips the per-worker circuit breaker (default 3).
 	BreakerThreshold int
-	// RebuildBackoff is the quarantine duration before the first context
-	// rebuild; it doubles per further failure up to RebuildBackoffMax
+	// RebuildBackoff is the quarantine duration before reused storage is
+	// readmitted; it doubles per further failure up to RebuildBackoffMax
 	// (defaults 25ms and 2s).
 	RebuildBackoff    time.Duration
 	RebuildBackoffMax time.Duration
@@ -100,18 +101,17 @@ type Counters struct {
 	// cross-checks); ValidationFailures counts verdicts they rejected.
 	Validations, ValidationFailures uint64
 	// Quarantines counts layers taken out of service after a divergence
-	// (incremental contexts and poisoned cache entries alike).
+	// (the reused-storage rung and poisoned cache entries alike).
 	Quarantines uint64
 	// FallbackSolves counts queries served one rung below their natural
-	// tier because that tier was quarantined, breaker-pinned, or caught
-	// lying on this very query.
+	// tier because that tier was caught lying on this very query.
 	FallbackSolves uint64
-	// RebuildRetries counts quarantined contexts readmitted after their
-	// backoff deadline passed.
+	// RebuildRetries counts quarantined reused-storage rungs readmitted
+	// after their backoff deadline passed.
 	RebuildRetries uint64
 	// BreakerTrips counts circuit-breaker trips; BreakerOpen reports the
-	// breaker's current state (a tripped worker stays in scratch mode for
-	// the rest of the run).
+	// breaker's current state (a tripped worker solves on fresh storage
+	// for the rest of the run).
 	BreakerTrips uint64
 	BreakerOpen  bool
 }
@@ -134,8 +134,8 @@ type Guard struct {
 
 	unsatSeen atomic.Uint64 // cross-check sampling counter
 
-	// Quarantine state for the incremental rung; only the owning solver's
-	// query goroutine touches these.
+	// Quarantine state for the reused-storage rung; only the owning
+	// solver's query goroutine touches these.
 	failStreak int
 	backoff    *cancel.Token
 }
@@ -199,9 +199,7 @@ func (g *Guard) ValidateModel(f *expr.Term, bounds map[string]interval.Interval,
 	return true
 }
 
-// NoteCrossCheck records an unsat cross-check that ran; NoteFailure
-// records a validation failure detected outside ValidateModel (a
-// cross-check divergence or a rejected assumption core).
+// NoteCrossCheck records an unsat cross-check that ran.
 func (g *Guard) NoteCrossCheck() { g.validations.Add(1) }
 
 // CrossCheckCursor returns the unsat sampling counter behind
@@ -217,17 +215,16 @@ func (g *Guard) SetCrossCheckCursor(n uint64) { g.unsatSeen.Store(n) }
 // NoteFailure records a validation failure detected by a cross-check.
 func (g *Guard) NoteFailure() { g.failures.Add(1) }
 
-// NoteQuarantine records a layer taken out of service (a poisoned cache
-// entry dropped, or an incremental context discarded via QuarantineRung).
+// NoteQuarantine records a poisoned cache entry taken out of service.
 func (g *Guard) NoteQuarantine() { g.quarantines.Add(1) }
 
 // NoteFallback records a query served one rung below its natural tier.
 func (g *Guard) NoteFallback() { g.fallbacks.Add(1) }
 
-// RungAvailable reports whether the incremental rung may serve the next
-// query. While quarantined it returns false until the backoff deadline
-// passes, then readmits the rung (counting a rebuild retry); once the
-// breaker has tripped it returns false forever.
+// RungAvailable reports whether the next query may run on the solver's
+// reused storage. While quarantined it returns false until the backoff
+// deadline passes, then readmits the rung (counting a rebuild retry); once
+// the breaker has tripped it returns false forever.
 func (g *Guard) RungAvailable() bool {
 	if g.breakerOpen.Load() {
 		return false
@@ -242,11 +239,11 @@ func (g *Guard) RungAvailable() bool {
 	return true
 }
 
-// QuarantineRung takes the incremental rung out of service after a
-// validation failure attributed to it. The rung stays down for an
-// exponentially growing, capped backoff (so a rebuilt context that lies
-// again is readmitted ever more reluctantly); at BreakerThreshold failures
-// the circuit breaker trips and the rung is pinned off for the rest of the
+// QuarantineRung takes the reused-storage rung out of service after a
+// validation failure on a verdict it produced. The rung stays down for an
+// exponentially growing, capped backoff (so storage that lies again is
+// readmitted ever more reluctantly); at BreakerThreshold failures the
+// circuit breaker trips and the rung is pinned off for the rest of the
 // run. Failures are cumulative, not consecutive: a layer that keeps
 // producing wrong answers — however sparsely — does not deserve unbounded
 // retries.

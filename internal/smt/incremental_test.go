@@ -2,7 +2,6 @@ package smt
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"cpr/internal/cancel"
@@ -12,12 +11,17 @@ import (
 	"cpr/internal/smt/cache"
 )
 
+// The tests in this file run one long-lived Solver over a query stream
+// shaped like the repair loop. Each query resets and reuses the solver's
+// encoder, CDCL instance and LIA bounds box, so the stream is where
+// leftover state from an earlier query would show.
+
 // incrementalBattery is a query sequence shaped like the repair loop:
 // shared path-constraint prefixes, per-patch suffixes, several bounds
 // boxes, purification (div/ite), boolean structure, and repeats. The same
 // formula deliberately recurs under different bounds boxes — the verdict
-// flips with the box, which is exactly what the per-box lemma guards must
-// get right.
+// flips with the box, so domains left behind in the reused LIA box would
+// show as a wrong verdict.
 func incrementalBattery() []struct {
 	f      *expr.Term
 	bounds map[string]interval.Interval
@@ -48,7 +52,7 @@ func incrementalBattery() []struct {
 	}
 
 	// Box-sensitivity first: unsat under the narrow box, sat under the
-	// wide one. A leaked lemma would make the second query unsat too.
+	// wide one. A leaked domain would make the second query unsat too.
 	add(boxed, narrow)
 	add(boxed, wide)
 	add(boxed, narrow)
@@ -60,7 +64,7 @@ func incrementalBattery() []struct {
 		contra := expr.And(expr.Lt(x, expr.Int(-1-k))) // conflicts with prefix
 		add(expr.And(append(append([]*expr.Term{}, prefix...), contra)...), wide)
 	}
-	// Repeats (encoding-cache hits, retained lemmas).
+	// Repeats.
 	add(expr.And(append([]*expr.Term{mid}, prefix...)...), wide)
 	add(expr.And(append([]*expr.Term{mid}, prefix...)...), narrow)
 
@@ -81,83 +85,55 @@ func incrementalBattery() []struct {
 	return qs
 }
 
-// TestIncrementalDifferentialVerdicts: one persistent incremental solver
-// across the whole battery must agree with a fresh scratch solve of every
-// query.
+// TestIncrementalDifferentialVerdicts: one long-lived solver deciding the
+// whole battery must agree with a fresh solver's Check on every query.
 func TestIncrementalDifferentialVerdicts(t *testing.T) {
-	inc := NewSolver(Options{Incremental: true})
+	long := NewSolver(Options{})
+	seen := map[Status]int{}
 	for i, q := range incrementalBattery() {
-		st, err := inc.Decide(q.f, q.bounds)
+		st, err := long.Decide(q.f, q.bounds)
 		if err != nil {
-			t.Fatalf("query %d: incremental Decide: %v", i, err)
+			t.Fatalf("query %d: long-lived Decide: %v", i, err)
 		}
-		scratch := NewSolver(Options{})
-		want, err := scratch.Check(q.f, q.bounds)
+		want, err := NewSolver(Options{}).Check(q.f, q.bounds)
 		if err != nil {
-			t.Fatalf("query %d: scratch Check: %v", i, err)
+			t.Fatalf("query %d: fresh Check: %v", i, err)
 		}
 		if st != want.Status {
-			t.Fatalf("query %d (%v): incremental=%v scratch=%v", i, q.f, st, want.Status)
+			t.Fatalf("query %d (%v): long-lived=%v fresh=%v", i, q.f, st, want.Status)
 		}
+		seen[st]++
 	}
-	st := inc.Stats()
-	if st.EncodeCacheHits == 0 {
-		t.Errorf("no encoding-cache hits over a shared-prefix battery: %+v", st)
-	}
-	if st.AssumptionCores == 0 {
-		t.Errorf("no assumption cores over an unsat-heavy battery: %+v", st)
+	if seen[Sat] == 0 || seen[Unsat] == 0 {
+		t.Fatalf("battery decided %v; it must mix sat and unsat", seen)
 	}
 }
 
-// TestIncrementalModelsIdentical: Check must return bit-identical models
-// with Incremental on and off — the property the repair-result
-// differential test builds on.
+// TestIncrementalModelsIdentical: Check on a long-lived solver must return
+// bit-identical models to a fresh solver per query — the property the
+// repair-result differential test builds on.
 func TestIncrementalModelsIdentical(t *testing.T) {
-	inc := NewSolver(Options{Incremental: true})
-	scr := NewSolver(Options{})
+	long := NewSolver(Options{})
 	for i, q := range incrementalBattery() {
-		got, err1 := inc.Check(q.f, q.bounds)
-		want, err2 := scr.Check(q.f, q.bounds)
+		got, err1 := long.Check(q.f, q.bounds)
+		want, err2 := NewSolver(Options{}).Check(q.f, q.bounds)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("query %d: error mismatch: %v vs %v", i, err1, err2)
 		}
 		if got.Status != want.Status {
 			t.Fatalf("query %d: status %v vs %v", i, got.Status, want.Status)
 		}
-		if fmt.Sprint(got.Model) != fmt.Sprint(want.Model) {
-			t.Fatalf("query %d: model diverged:\nincremental: %v\nscratch:     %v", i, got.Model, want.Model)
+		if renderModel(got.Model) != renderModel(want.Model) {
+			t.Fatalf("query %d: model diverged:\nlong-lived: %v\nfresh:      %v", i, got.Model, want.Model)
 		}
 	}
-}
-
-// pigeonhole returns the propositionally-unsat PHP(holes+1, holes)
-// principle: CDCL needs many conflicts to refute it, which makes it a
-// reliable way to trip a conflict budget.
-func pigeonhole(holes int) *expr.Term {
-	pv := func(i, j int) *expr.Term { return expr.BoolVar(fmt.Sprintf("php_%d_%d", i, j)) }
-	var cs []*expr.Term
-	for i := 0; i <= holes; i++ {
-		row := make([]*expr.Term, holes)
-		for j := 0; j < holes; j++ {
-			row[j] = pv(i, j)
-		}
-		cs = append(cs, expr.Or(row...))
-	}
-	for j := 0; j < holes; j++ {
-		for i := 0; i <= holes; i++ {
-			for k := i + 1; k <= holes; k++ {
-				cs = append(cs, expr.Or(expr.Not(pv(i, j)), expr.Not(pv(k, j))))
-			}
-		}
-	}
-	return expr.And(cs...)
 }
 
 // TestIncrementalBudgetDoesNotPoison: a query aborted by a conflict budget
-// must leave the retained clause database usable — later queries still get
-// correct verdicts.
+// leaves the reused storage mid-search; later queries on the same solver
+// must still get correct verdicts.
 func TestIncrementalBudgetDoesNotPoison(t *testing.T) {
-	s := NewSolver(Options{Incremental: true, MaxConflicts: 8})
+	s := NewSolver(Options{MaxConflicts: 8})
 	st, err := s.Decide(pigeonhole(5), nil)
 	if st != Unknown || !errors.Is(err, ErrBudget) {
 		t.Fatalf("pigeonhole under MaxConflicts=8: %v, %v; want unknown budget abort", st, err)
@@ -175,15 +151,18 @@ func TestIncrementalBudgetDoesNotPoison(t *testing.T) {
 	}
 }
 
-// TestIncrementalCancellation: an expired token degrades incremental
-// queries to Unknown with a budget error; a fresh solver with no token is
-// unaffected.
+// TestIncrementalCancellation: once the solver's token expires, every
+// later query on the long-lived solver degrades to Unknown with a
+// deadline budget error, whatever it answered before.
 func TestIncrementalCancellation(t *testing.T) {
 	tok := cancel.New()
-	tok.Cancel()
-	s := NewSolver(Options{Incremental: true, Cancel: tok})
+	s := NewSolver(Options{Cancel: tok})
 	x := expr.IntVar("x")
 	f := expr.Gt(x, expr.Int(0))
+	if st, err := s.Decide(expr.Lt(x, expr.Int(3)), nil); err != nil || st != Sat {
+		t.Fatalf("Decide before cancellation = %v, %v", st, err)
+	}
+	tok.Cancel()
 	st, err := s.Decide(f, nil)
 	if st != Unknown || !errors.Is(err, ErrBudget) {
 		t.Fatalf("cancelled Decide = %v, %v; want unknown with budget error", st, err)
@@ -199,18 +178,18 @@ func TestIncrementalCancellation(t *testing.T) {
 
 // TestIncrementalFaultInjectionMidSequence: injected solver faults —
 // including panics recovered at the query boundary — must not poison the
-// retained clause database: every non-faulted query still answers
-// correctly across the battery.
+// reused storage: every non-faulted query still answers correctly across
+// the battery.
 func TestIncrementalFaultInjectionMidSequence(t *testing.T) {
 	for _, kind := range []faultinject.Fault{faultinject.SolverPanic, faultinject.SolverTimeout, faultinject.SolverFail} {
 		// One plan per kind: its every-Nth counter must persist across the
-		// deactivate/reactivate windows around the scratch reference solves.
+		// deactivate/reactivate windows around the fresh reference solves.
 		plan := &faultinject.Plan{SolverEvery: 3, SolverKind: kind}
 		faultinject.Activate(plan)
-		inc := NewSolver(Options{Incremental: true})
+		long := NewSolver(Options{})
 		faulted, answered := 0, 0
 		for i, q := range incrementalBattery() {
-			st, err := inc.Decide(q.f, q.bounds)
+			st, err := long.Decide(q.f, q.bounds)
 			if err != nil {
 				faulted++
 				if st == Sat || st == Unsat {
@@ -219,31 +198,32 @@ func TestIncrementalFaultInjectionMidSequence(t *testing.T) {
 				continue
 			}
 			answered++
-			faultinject.Deactivate() // scratch reference must not fault
+			faultinject.Deactivate() // the fresh reference must not fault
 			want, werr := NewSolver(Options{}).Check(q.f, q.bounds)
 			faultinject.Activate(plan)
 			if werr != nil {
-				t.Fatalf("kind %v query %d: scratch reference: %v", kind, i, werr)
+				t.Fatalf("kind %v query %d: fresh reference: %v", kind, i, werr)
 			}
 			if st != want.Status {
-				t.Fatalf("kind %v query %d: verdict %v diverged from scratch %v after faults", kind, i, st, want.Status)
+				t.Fatalf("kind %v query %d: verdict %v diverged from fresh %v after faults", kind, i, st, want.Status)
 			}
 		}
 		faultinject.Deactivate()
 		if faulted == 0 || answered == 0 {
 			t.Fatalf("kind %v: battery too small to exercise faults (faulted=%d answered=%d)", kind, faulted, answered)
 		}
-		if kind == faultinject.SolverPanic && inc.Stats().Panics == 0 {
+		if kind == faultinject.SolverPanic && long.Stats().Panics == 0 {
 			t.Fatal("panic faults not recorded in stats")
 		}
 	}
 }
 
-// TestIncrementalCacheInteraction: verdict-only entries, model upgrades,
-// and assumption cores feeding the subsumption index.
+// TestIncrementalCacheInteraction: on a long-lived solver, verdict-only
+// entries serve repeated Decides, Check upgrades an entry with a model,
+// and an unsat verdict feeds the subsumption index for later supersets.
 func TestIncrementalCacheInteraction(t *testing.T) {
 	c := cache.New(cache.Options{})
-	s := NewSolver(Options{Incremental: true, Cache: c})
+	s := NewSolver(Options{Cache: c})
 	x := expr.IntVar("x")
 	y := expr.IntVar("y")
 	b := map[string]interval.Interval{"x": interval.New(0, 50), "y": interval.New(0, 50)}
@@ -266,35 +246,37 @@ func TestIncrementalCacheInteraction(t *testing.T) {
 		t.Fatalf("Check after verdict-only: %+v, %v", res, err)
 	}
 	res2, err := s.Check(f, b)
-	if err != nil || res2.Model == nil {
+	if err != nil || renderModel(res2.Model) != renderModel(res.Model) {
 		t.Fatalf("model entry not cached: %+v, %v", res2, err)
 	}
 
-	// Unsat with a narrowing core: a propositional contradiction among
-	// three of four conjuncts (the SAT-level final conflict never touches
-	// the fourth), so the stored core subsumes later supersets.
+	// An unsat verdict indexes its conjuncts: a later query whose
+	// conjuncts are a superset, under the same domains, is answered by
+	// subsumption without a solve.
 	p := expr.BoolVar("cp")
 	q := expr.BoolVar("cq")
 	clash := []*expr.Term{p, expr.Implies(p, q), expr.Not(q)}
-	if st, err := s.Decide(expr.And(append(clash, expr.Gt(y, expr.Int(1)))...), b); err != nil || st != Unsat {
-		t.Fatalf("core query: %v, %v", st, err)
+	if st, err := s.Decide(expr.And(clash...), b); err != nil || st != Unsat {
+		t.Fatalf("clash query: %v, %v", st, err)
 	}
-	if s.Stats().AssumptionCores == 0 {
-		t.Fatal("propositional contradiction produced no assumption core")
-	}
-	pre := c.Stats()
+	pre, rounds := c.Stats(), s.Stats().TheoryRounds
 	if st, err := s.Decide(expr.And(append(clash, expr.Lt(y, expr.Int(49)))...), b); err != nil || st != Unsat {
 		t.Fatalf("superset query: %v, %v", st, err)
 	}
 	if post := c.Stats(); post.Subsumed != pre.Subsumed+1 {
-		t.Fatalf("assumption core did not feed subsumption: %+v -> %+v", pre, post)
+		t.Fatalf("unsat verdict did not feed subsumption: %+v -> %+v", pre, post)
+	}
+	if s.Stats().TheoryRounds != rounds {
+		t.Fatal("subsumed query was solved")
 	}
 }
 
-// TestIncrementalClauseRetentionStats: repeats of an unsat query must get
-// cheaper (retained lemmas) and the counters must show retention.
+// TestIncrementalClauseRetentionStats: the long-lived solver reuses
+// storage, not clauses. A repeated unsat query must cost exactly what its
+// first solve cost — same theory rounds, same learned clauses — because
+// nothing learned by one query survives into the next.
 func TestIncrementalClauseRetentionStats(t *testing.T) {
-	s := NewSolver(Options{Incremental: true})
+	s := NewSolver(Options{})
 	x := expr.IntVar("x")
 	y := expr.IntVar("y")
 	b := map[string]interval.Interval{"x": interval.New(0, 30), "y": interval.New(0, 30)}
@@ -307,16 +289,18 @@ func TestIncrementalClauseRetentionStats(t *testing.T) {
 	if st, err := s.Decide(f, b); err != nil || st != Unsat {
 		t.Fatalf("first solve: %v, %v", st, err)
 	}
-	roundsAfterFirst := s.Stats().TheoryRounds
+	first := s.Stats()
+	if first.TheoryRounds < 2 {
+		t.Fatalf("first solve took %d theory rounds; the query must need several", first.TheoryRounds)
+	}
 	if st, err := s.Decide(f, b); err != nil || st != Unsat {
 		t.Fatalf("repeat solve: %v, %v", st, err)
 	}
-	st := s.Stats()
-	repeatRounds := st.TheoryRounds - roundsAfterFirst
-	if repeatRounds >= roundsAfterFirst {
-		t.Errorf("repeat spent %d theory rounds, first spent %d: lemmas not retained", repeatRounds, roundsAfterFirst)
+	second := s.Stats()
+	if rounds := second.TheoryRounds - first.TheoryRounds; rounds != first.TheoryRounds {
+		t.Errorf("repeat spent %d theory rounds, first spent %d: state carried over", rounds, first.TheoryRounds)
 	}
-	if st.EncodeCacheHits == 0 {
-		t.Errorf("repeat query re-encoded: %+v", st)
+	if learned := second.ClausesLearned - first.ClausesLearned; learned != first.ClausesLearned {
+		t.Errorf("repeat learned %d clauses, first learned %d: state carried over", learned, first.ClausesLearned)
 	}
 }

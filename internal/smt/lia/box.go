@@ -13,8 +13,8 @@ import (
 // its bound-propagation scratch map across Solve calls, so the per-query
 // cost is the solve itself rather than map rebuilding and re-validation.
 //
-// A Box is not safe for concurrent use; the incremental SMT context owns
-// one per bounds box.
+// A Box is not safe for concurrent use; each SMT solver owns one and
+// resets it for every query's domains.
 type Box struct {
 	bounds  map[string]interval.Interval
 	scratch map[string]interval.Interval
@@ -30,14 +30,26 @@ func NewBox(bounds map[string]interval.Interval) *Box {
 	return b
 }
 
-// Extend adds (or overwrites) one variable's domain. Extending mid-stream
-// is how the SMT context grows a box as new formulas introduce variables.
+// Reset empties the box for a new set of domains, keeping the storage of
+// its maps.
+func (b *Box) Reset() {
+	clear(b.bounds)
+	b.empty = false
+}
+
+// Extend adds (or overwrites) one variable's domain. A box that ever held
+// an empty domain decides everything unsat until Reset, so callers extend
+// each variable once with its final domain.
 func (b *Box) Extend(name string, iv interval.Interval) {
 	b.bounds[name] = iv
 	if iv.IsEmpty() {
 		b.empty = true
 	}
 }
+
+// Bounds returns the box's domains. The map is the box's own: callers
+// must not modify it.
+func (b *Box) Bounds() map[string]interval.Interval { return b.bounds }
 
 // Has reports whether the box covers the variable.
 func (b *Box) Has(name string) bool {

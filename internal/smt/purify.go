@@ -8,11 +8,19 @@ import (
 
 // purifier rewrites a formula so that the arithmetic layer only ever sees
 // +, −, ·, and variables: integer-sorted ite, div, and rem are replaced by
-// fresh variables with defining constraints collected in defs.
+// fresh variables with defining constraints collected in defs. One
+// purifier serves a query's whole conjunct list, so shared subterms get
+// one variable; reset readies it for the next query.
 type purifier struct {
 	defs  []*expr.Term
 	next  int
 	cache map[*expr.Term]*expr.Term
+}
+
+func (p *purifier) reset() {
+	p.defs = p.defs[:0]
+	p.next = 0
+	p.cache = resetMap(p.cache)
 }
 
 func (p *purifier) fresh() *expr.Term {
@@ -22,9 +30,6 @@ func (p *purifier) fresh() *expr.Term {
 }
 
 func (p *purifier) purify(t *expr.Term) *expr.Term {
-	if p.cache == nil {
-		p.cache = make(map[*expr.Term]*expr.Term)
-	}
 	if r, ok := p.cache[t]; ok {
 		return r
 	}

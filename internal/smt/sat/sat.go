@@ -1,7 +1,8 @@
 // Package sat implements a CDCL (conflict-driven clause learning) SAT
 // solver in the MiniSat lineage: two-watched-literal propagation, first-UIP
 // conflict analysis, exponential VSIDS variable activities, phase saving,
-// Luby restarts, and activity-based learned-clause deletion.
+// Luby restarts, and activity-based learned-clause deletion, all with
+// MiniSat's default parameters.
 //
 // The solver is the boolean engine underneath the lazy SMT solver in
 // package smt: propositional skeletons of path and patch constraints are
@@ -98,7 +99,8 @@ type Stats struct {
 
 // Solver is a CDCL SAT solver. Create one with New, add variables with
 // NewVar and clauses with AddClause, then call Solve. Clauses may be added
-// between Solve calls (the incremental pattern the SMT layer relies on).
+// between Solve calls (the SMT layer adds theory lemmas that way), and
+// Reset readies the solver for an unrelated problem.
 type Solver struct {
 	ok       bool // false once the clause set is known unsatisfiable
 	clauses  []*clause
@@ -112,18 +114,14 @@ type Solver struct {
 	varInc   float64
 	claInc   float64
 
-	cfg       Config  // search strategy (defaults applied)
-	varDecayF float64 // per-conflict multiplier on varInc: 1/cfg.VarDecay
-	claDecayF float64 // per-conflict multiplier on claInc: 1/cfg.ClaDecay
-
 	// Arena-style allocation pools for the solve hot loop: clause headers
-	// come from slabs, literal storage from a chunked arena, and clauses
-	// dropped by reduceDB go on a freelist that newClause recycles
-	// (keeping their lit capacity). Profiling shows learned-clause
-	// allocation is the dominant steady-state allocator load.
-	claSlab  []clause
+	// and literal storage come from chunked arenas that Reset rewinds
+	// rather than frees, and clauses dropped by reduceDB go on a freelist
+	// that newClause recycles (keeping their lit capacity). Profiling
+	// shows clause allocation is the dominant allocator load.
+	claArena chunked[clause]
 	freeCla  []*clause
-	litArena []Lit
+	litArena chunked[Lit]
 	sortBuf  []*clause
 
 	trail    []Lit
@@ -164,19 +162,110 @@ type Solver struct {
 	polls uint64
 }
 
-// New returns an empty solver with the default search strategy.
-func New() *Solver { return NewWith(Config{}) }
+// MiniSat's search parameters: the conflict budget of the first Luby
+// restart window, and the per-conflict growth of the VSIDS variable and
+// learned-clause activity increments (the reciprocals of decays 0.95 and
+// 0.999).
+const (
+	restartBase = 100
+	varIncGrow  = 1 / 0.95
+	claIncGrow  = 1 / 0.999
+)
 
-// NewWith returns an empty solver using the given search strategy.
-func NewWith(cfg Config) *Solver {
-	cfg = cfg.withDefaults()
-	s := &Solver{ok: true, varInc: 1, claInc: 1,
-		cfg:       cfg,
-		varDecayF: 1 / cfg.VarDecay,
-		claDecayF: 1 / cfg.ClaDecay,
-	}
+// New returns an empty solver.
+func New() *Solver {
+	s := &Solver{ok: true, varInc: 1, claInc: 1}
 	s.heap.act = &s.activity
 	return s
+}
+
+// Retention caps for Reset: past them a solver drops its storage instead
+// of keeping it for the next problem, so one huge query does not pin its
+// footprint for the solver's lifetime.
+const (
+	maxRetainedVars      = 1 << 14
+	maxRetainedClauses   = 1 << 14
+	maxRetainedLitChunks = 16 // of litChunk literals
+	maxRetainedClaChunks = 16 // of claChunk clause headers
+	litChunk, claChunk   = 4096, 256
+)
+
+// Reset empties the solver for an unrelated problem. Afterwards it
+// behaves exactly like a fresh New solver — the same variable numbering,
+// search, learned clauses, models, and stats — but it keeps the capacity
+// of its per-variable arrays, watch lists, and clause arenas (up to the
+// retention caps), so a solver that answers a stream of small problems
+// stops allocating them anew for each one.
+func (s *Solver) Reset() {
+	if cap(s.assigns) > maxRetainedVars {
+		s.assigns, s.level, s.reason, s.phase, s.activity = nil, nil, nil, nil, nil
+		s.seen, s.watches, s.addMark = nil, nil, nil
+		s.heap.data, s.heap.index = nil, nil
+	}
+	clear(s.reason)
+	s.assigns, s.level, s.reason = s.assigns[:0], s.level[:0], s.reason[:0]
+	s.phase, s.activity, s.seen = s.phase[:0], s.activity[:0], s.seen[:0]
+	s.watches, s.addMark = s.watches[:0], s.addMark[:0]
+	s.heap.data, s.heap.index = s.heap.data[:0], s.heap.index[:0]
+	s.addGen = 0
+
+	s.clauses = resetClauses(s.clauses)
+	s.learnts = resetClauses(s.learnts)
+	s.freeCla = resetClauses(s.freeCla)
+	s.sortBuf = resetClauses(s.sortBuf)
+	s.claArena.rewind(maxRetainedClaChunks)
+	s.litArena.rewind(maxRetainedLitChunks)
+
+	s.trail, s.trailLim, s.qhead = s.trail[:0], s.trailLim[:0], 0
+	s.ok, s.varInc, s.claInc = true, 1, 1
+	s.model, s.assumps, s.core = nil, nil, nil
+	s.Statist = Stats{}
+	s.MaxConflicts, s.Stop, s.polls = 0, nil, 0
+}
+
+// resetClauses empties a clause list, dropping it past the retention cap.
+func resetClauses(cs []*clause) []*clause {
+	if cap(cs) > maxRetainedClauses {
+		return nil
+	}
+	clear(cs)
+	return cs[:0]
+}
+
+// chunked is a bump allocator over fixed-size chunks. rewind makes every
+// chunk available again without freeing it, which is what lets Reset keep
+// a solver's clause storage across problems.
+type chunked[T any] struct {
+	chunks [][]T
+	used   int // chunks[:used] have been handed out since the last rewind
+	free   []T // unallocated tail of chunks[used-1]
+}
+
+// alloc returns n elements. Requests larger than a chunk get their own
+// allocation, which is not retained.
+func (a *chunked[T]) alloc(n, chunk int) []T {
+	if n > len(a.free) {
+		if n > chunk {
+			return make([]T, n)
+		}
+		if a.used == len(a.chunks) {
+			a.chunks = append(a.chunks, make([]T, chunk))
+		}
+		a.free = a.chunks[a.used]
+		a.used++
+	}
+	out := a.free[:n:n]
+	a.free = a.free[n:]
+	return out
+}
+
+// rewind returns every chunk to the allocator, keeping at most max.
+func (a *chunked[T]) rewind(max int) {
+	if len(a.chunks) > max {
+		clear(a.chunks[max:])
+		a.chunks = a.chunks[:max]
+	}
+	a.used, a.free = 0, nil
 }
 
 // NewVar adds a fresh variable and returns its index.
@@ -185,10 +274,16 @@ func (s *Solver) NewVar() int {
 	s.assigns = append(s.assigns, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
-	s.phase = append(s.phase, s.cfg.PhaseTrue)
+	s.phase = append(s.phase, false)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		// Reuse the watch lists a Reset left behind.
+		s.watches = s.watches[:n+2]
+		s.watches[n], s.watches[n+1] = s.watches[n][:0], s.watches[n+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.addMark = append(s.addMark, 0, 0)
 	s.heap.push(v)
 	return v
@@ -274,11 +369,7 @@ func (s *Solver) newClause(lits []Lit, learnt bool) *clause {
 			c.lits = s.allocLits(len(lits))
 		}
 	} else {
-		if len(s.claSlab) == 0 {
-			s.claSlab = make([]clause, 256)
-		}
-		c = &s.claSlab[0]
-		s.claSlab = s.claSlab[1:]
+		c = &s.claArena.alloc(1, claChunk)[0]
 		c.lits = s.allocLits(len(lits))
 	}
 	copy(c.lits, lits)
@@ -287,18 +378,7 @@ func (s *Solver) newClause(lits []Lit, learnt bool) *clause {
 	return c
 }
 
-func (s *Solver) allocLits(n int) []Lit {
-	if n > len(s.litArena) {
-		sz := 4096
-		if n > sz {
-			sz = n
-		}
-		s.litArena = make([]Lit, sz)
-	}
-	out := s.litArena[:n:n]
-	s.litArena = s.litArena[n:]
-	return out
-}
+func (s *Solver) allocLits(n int) []Lit { return s.litArena.alloc(n, litChunk) }
 
 func (s *Solver) watchClause(c *clause) {
 	// Watch the first two literals; on attach after backtrack to 0 any
@@ -586,17 +666,9 @@ func (s *Solver) SolveUnder(assumptions ...Lit) Status {
 	restarts := uint64(0)
 	conflictsAtStart := s.Statist.Conflicts
 	maxLearnts := len(s.clauses)/3 + 100
-	geomBudget := float64(s.cfg.RestartBase)
 	for {
 		restarts++
-		var budget uint64
-		if s.cfg.Geometric {
-			budget = uint64(geomBudget)
-			geomBudget *= s.cfg.RestartGrow
-		} else {
-			budget = luby(restarts) * s.cfg.RestartBase
-		}
-		st := s.search(budget, &maxLearnts, conflictsAtStart)
+		st := s.search(luby(restarts)*restartBase, &maxLearnts, conflictsAtStart)
 		if st != Unknown {
 			return st
 		}
@@ -641,8 +713,8 @@ func (s *Solver) search(budget uint64, maxLearnts *int, conflictsAtStart uint64)
 				s.bumpClause(c)
 				s.uncheckedEnqueue(learnt[0], c)
 			}
-			s.varInc *= s.varDecayF
-			s.claInc *= s.claDecayF
+			s.varInc *= varIncGrow
+			s.claInc *= claIncGrow
 			continue
 		}
 		if conflicts >= budget {
@@ -750,7 +822,7 @@ func (s *Solver) stopped(every uint64) bool {
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
 // NumLearnts returns the number of learned clauses currently retained
-// (learned minus deleted), exposed for the incremental-solving counters.
+// (learned minus deleted).
 func (s *Solver) NumLearnts() int { return len(s.learnts) }
 
 func (s *Solver) pickBranchVar() int {

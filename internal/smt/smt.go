@@ -17,6 +17,14 @@
 // Every integer variable is bounded; DefaultBounds (32-bit by default)
 // applies to variables without explicit bounds, mirroring the C int
 // semantics of the subject programs.
+//
+// Every query is solved from scratch, which is what makes answers
+// deterministic: a query's verdict and model depend on the query alone,
+// never on what the solver answered before. The repair loop sends each job
+// thousands of small, independent queries, so the fixed cost per query is
+// what matters: the front-end works on the query's top-level conjunct
+// list without interning a query-wide conjunction, and a Solver reuses one
+// encoder and one CDCL instance (reset, not reallocated) across queries.
 package smt
 
 import (
@@ -92,44 +100,14 @@ type Options struct {
 	// hits return exactly what re-solving would, so sharing does not
 	// change results, only speed.
 	Cache *cache.Cache
-	// Portfolio, when ≥ 2, races that many diverse CDCL configurations
-	// (restart policy, VSIDS decay, phase polarity — see sat.Portfolio)
-	// inside the incremental context, with first-to-answer cancellation
-	// and winner-to-leader learned-clause sharing. Only verdict-tier
-	// queries race; models always come from the deterministic scratch
-	// path, so repair results do not depend on this flag. No effect
-	// without Incremental.
-	Portfolio int
-	// Incremental enables the persistent solving context (see Context):
-	// per-conjunct Tseitin encodings are cached, the CDCL clause database
-	// with its learned clauses is retained across queries, per-query
-	// formulas are asserted through selector assumptions, and unsat
-	// answers come with assumption cores that feed the cache's subsumption
-	// index. Verdicts are identical to scratch mode, and models are still
-	// produced by the deterministic scratch path, so repair results do not
-	// depend on this flag — only speed does. Off by default.
-	Incremental bool
-	// MaxContextClauses caps the incremental context's retained clause
-	// database. Every incremental solve decides the variables of the whole
-	// retained database, so dead encodings from a long run (per-patch
-	// renamed conjuncts that will never be queried again, batch groups
-	// from finished partitions) make each query slower than the last. When
-	// the database ends a query above this limit the context is retired
-	// and rebuilt lazily from the next query's conjuncts — a speed-only
-	// policy: retirement changes which learned clauses are available, never
-	// verdicts or models. 0 means the default (1000, the knee of the
-	// end-to-end bench sweep — see EXPERIMENTS.md); negative disables
-	// retirement.
-	MaxContextClauses int
 	// Paranoid forces 100% verdict validation in the guard layer: every
 	// unsat answer is cross-checked by an independent scratch solve (sat
 	// models are replayed on every answer regardless). Equivalent to
 	// Guard.Paranoid; the CPR_PARANOID environment variable forces it
 	// process-wide.
 	Paranoid bool
-	// Guard tunes the validation and self-healing layer (sampling rate,
-	// quarantine backoff, circuit-breaker threshold). The zero value gets
-	// production defaults.
+	// Guard tunes the validation layer (unsat cross-check sampling rate).
+	// The zero value gets production defaults.
 	Guard guard.Config
 }
 
@@ -139,9 +117,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxTheoryRounds == 0 {
 		o.MaxTheoryRounds = 10000
-	}
-	if o.MaxContextClauses == 0 {
-		o.MaxContextClauses = 1000
 	}
 	return o
 }
@@ -162,63 +137,29 @@ type Stats struct {
 	// Queries and in Sat/UnsatAnswers.
 	CacheHits   uint64
 	CacheMisses uint64
-	// EncodeCacheHits/EncodeCacheMisses count per-conjunct encoding reuse
-	// in the incremental context: a hit is a top-level conjunct whose
-	// simplification, purification, and Tseitin encoding were skipped
-	// because an earlier query already prepared it. Zero in scratch mode.
-	EncodeCacheHits   uint64
-	EncodeCacheMisses uint64
 	// ClausesLearned/ClausesDeleted count CDCL clause learning and
-	// activity-driven deletion; ClausesKept is the learned-clause count
-	// currently retained by the incremental context (zero in scratch mode,
-	// where learned clauses die with their query).
+	// activity-driven deletion.
 	ClausesLearned uint64
-	ClausesKept    uint64
 	ClausesDeleted uint64
-	// AssumptionCores counts incremental unsat answers that produced a
-	// non-empty assumption core; AssumptionCoreLits sums the core sizes
-	// (in conjuncts), so AssumptionCoreLits/AssumptionCores is the mean
-	// core size.
-	AssumptionCores    uint64
-	AssumptionCoreLits uint64
 	// Wall-time breakdown of solver work: SatTime is spent in CDCL
-	// search (including portfolio races), LIATime in the arithmetic
-	// procedure, ValidateTime in verdict validation (model replays and
-	// sampled unsat cross-checks, including the trusted re-solves they
-	// trigger). Aggregated race-free from atomic nanosecond counters.
+	// search, LIATime in the arithmetic procedure, ValidateTime in verdict
+	// validation (model replays and sampled unsat cross-checks, including
+	// the trusted re-solves they trigger). Aggregated race-free from
+	// atomic nanosecond counters.
 	SatTime      time.Duration
 	LIATime      time.Duration
 	ValidateTime time.Duration
-	// Portfolio counters: PortfolioRaces counts solves that escalated to
-	// a configuration race (hard queries past the leader-alone conflict
-	// threshold), PortfolioMirrorWins races decided by a non-leader
-	// configuration, and PortfolioShared learned clauses imported from
-	// race winners into the leader. All zero when Options.Portfolio < 2.
-	PortfolioRaces      uint64
-	PortfolioMirrorWins uint64
-	PortfolioShared     uint64
-	// Batched-feasibility counters (DecideBatch): BatchQueries counts
-	// group queries issued to the solver (including bisection subgroups),
-	// BatchItems items whose verdict came from a group answer rather than
-	// an individual solve, and BatchBisections mixed-verdict groups split
-	// in half. All zero when batching is off.
-	BatchQueries    uint64
-	BatchItems      uint64
-	BatchBisections uint64
 	// Self-healing health counters (package guard). Validations counts
 	// verdict validations run (model replays + unsat cross-checks);
 	// ValidationFailures counts verdicts they rejected — each such verdict
 	// was replaced by a lower-rung solve or degraded to Unknown, never
-	// returned. Quarantines counts layers taken out of service,
-	// FallbackSolves queries served below their natural tier,
-	// RebuildRetries quarantined contexts readmitted after backoff, and
-	// BreakerTrips circuit breakers pinning a solver to scratch mode.
+	// returned. Quarantines counts poisoned cache entries pulled and
+	// reused-storage quarantines, and FallbackSolves queries served below
+	// their natural tier.
 	Validations        uint64
 	ValidationFailures uint64
 	Quarantines        uint64
 	FallbackSolves     uint64
-	RebuildRetries     uint64
-	BreakerTrips       uint64
 }
 
 // Add returns the fieldwise sum of two stats snapshots — the aggregate of
@@ -232,28 +173,15 @@ func (a Stats) Add(b Stats) Stats {
 	a.Panics += b.Panics
 	a.CacheHits += b.CacheHits
 	a.CacheMisses += b.CacheMisses
-	a.EncodeCacheHits += b.EncodeCacheHits
-	a.EncodeCacheMisses += b.EncodeCacheMisses
 	a.ClausesLearned += b.ClausesLearned
-	a.ClausesKept += b.ClausesKept
 	a.ClausesDeleted += b.ClausesDeleted
-	a.AssumptionCores += b.AssumptionCores
-	a.AssumptionCoreLits += b.AssumptionCoreLits
 	a.SatTime += b.SatTime
 	a.LIATime += b.LIATime
 	a.ValidateTime += b.ValidateTime
-	a.PortfolioRaces += b.PortfolioRaces
-	a.PortfolioMirrorWins += b.PortfolioMirrorWins
-	a.PortfolioShared += b.PortfolioShared
-	a.BatchQueries += b.BatchQueries
-	a.BatchItems += b.BatchItems
-	a.BatchBisections += b.BatchBisections
 	a.Validations += b.Validations
 	a.ValidationFailures += b.ValidationFailures
 	a.Quarantines += b.Quarantines
 	a.FallbackSolves += b.FallbackSolves
-	a.RebuildRetries += b.RebuildRetries
-	a.BreakerTrips += b.BreakerTrips
 	return a
 }
 
@@ -269,25 +197,12 @@ type solverStats struct {
 	cacheHits    atomic.Uint64
 	cacheMisses  atomic.Uint64
 
-	encodeCacheHits    atomic.Uint64
-	encodeCacheMisses  atomic.Uint64
-	clausesLearned     atomic.Uint64
-	clausesKept        atomic.Uint64 // gauge: retained learnts, stored after each query
-	clausesDeleted     atomic.Uint64
-	assumptionCores    atomic.Uint64
-	assumptionCoreLits atomic.Uint64
+	clausesLearned atomic.Uint64
+	clausesDeleted atomic.Uint64
 
 	satNanos      atomic.Int64
 	liaNanos      atomic.Int64
 	validateNanos atomic.Int64
-
-	portfolioRaces      atomic.Uint64
-	portfolioMirrorWins atomic.Uint64
-	portfolioShared     atomic.Uint64
-
-	batchQueries    atomic.Uint64
-	batchItems      atomic.Uint64
-	batchBisections atomic.Uint64
 }
 
 // timeSat/timeLIA/timeValidate fold an elapsed interval into the wall-time
@@ -302,26 +217,36 @@ func (st *solverStats) timeValidate(from time.Time) { st.validateNanos.Add(int64
 type Solver struct {
 	opts  Options
 	stats solverStats
-	// ctx is the persistent incremental state, created lazily on the
-	// first query when opts.Incremental is set and discarded whenever a
-	// recovered panic may have left it mid-mutation.
-	ctx *Context
+	// enc is the encoder and CDCL instance every query of this solver
+	// reuses, and box the theory loop's bounds environment; pur, memo, and
+	// the slices below are the rest of the per-query storage. check resets
+	// them all before each query. A recovered panic drops enc, since it
+	// may be mid-mutation; while the guard has the reused-storage rung
+	// quarantined, every query gets a fresh enc and box.
+	enc    *encoder
+	box    *lia.Box
+	pur    purifier
+	memo   map[*expr.Term]*expr.Term
+	conj   []*expr.Term
+	tmp    []*expr.Term
+	vars   []*expr.Term
+	varSet map[*expr.Term]bool
 	// guard validates verdicts and drives the degradation ladder; see
 	// package guard. Every solver has one (the overhead of validation is
 	// one model replay per sat answer plus sampled unsat cross-checks).
 	guard *guard.Guard
 	// scratch is the trusted child solver the ladder's lower rungs run on:
-	// scratch mode, no cache, no fault injection, no guard — the reference
-	// implementation the untrusted tiers are checked against. Created
-	// lazily on the first cross-check or fallback.
+	// no cache, no fault injection, no guard — the reference
+	// implementation the answers are checked against. Created lazily on
+	// the first cross-check or fallback.
 	scratch *Solver
 	// trusted marks the scratch child itself: its verdicts are served
 	// without lie injection or validation (it IS the validator).
 	trusted bool
 	// journal records the cache keys this solver stored during the current
-	// epoch (see BeginEpoch); on a panic or budget abort, or when a layer
-	// is quarantined, the journaled entries are invalidated — a corrupted
-	// worker must not leave verdicts behind in shared state.
+	// epoch (see BeginEpoch); on a panic or budget abort the journaled
+	// entries are invalidated — a corrupted worker must not leave verdicts
+	// behind in shared state.
 	journal []cache.Key
 }
 
@@ -352,32 +277,17 @@ func (s *Solver) Stats() Stats {
 		CacheHits:    s.stats.cacheHits.Load(),
 		CacheMisses:  s.stats.cacheMisses.Load(),
 
-		EncodeCacheHits:    s.stats.encodeCacheHits.Load(),
-		EncodeCacheMisses:  s.stats.encodeCacheMisses.Load(),
-		ClausesLearned:     s.stats.clausesLearned.Load(),
-		ClausesKept:        s.stats.clausesKept.Load(),
-		ClausesDeleted:     s.stats.clausesDeleted.Load(),
-		AssumptionCores:    s.stats.assumptionCores.Load(),
-		AssumptionCoreLits: s.stats.assumptionCoreLits.Load(),
+		ClausesLearned: s.stats.clausesLearned.Load(),
+		ClausesDeleted: s.stats.clausesDeleted.Load(),
 
 		SatTime:      time.Duration(s.stats.satNanos.Load()),
 		LIATime:      time.Duration(s.stats.liaNanos.Load()),
 		ValidateTime: time.Duration(s.stats.validateNanos.Load()),
 
-		PortfolioRaces:      s.stats.portfolioRaces.Load(),
-		PortfolioMirrorWins: s.stats.portfolioMirrorWins.Load(),
-		PortfolioShared:     s.stats.portfolioShared.Load(),
-
-		BatchQueries:    s.stats.batchQueries.Load(),
-		BatchItems:      s.stats.batchItems.Load(),
-		BatchBisections: s.stats.batchBisections.Load(),
-
 		Validations:        gc.Validations,
 		ValidationFailures: gc.ValidationFailures,
 		Quarantines:        gc.Quarantines,
 		FallbackSolves:     gc.FallbackSolves,
-		RebuildRetries:     gc.RebuildRetries,
-		BreakerTrips:       gc.BreakerTrips,
 	}
 }
 
@@ -446,14 +356,29 @@ const auxPrefix = "!aux"
 // MaxTheoryRounds, MaxQueryDuration, an expired Cancel token) yields
 // Unknown with a *BudgetError, and a panic anywhere below this boundary
 // yields Unknown with an error wrapping ErrSolverPanic.
-func (s *Solver) Check(f *expr.Term, bounds map[string]interval.Interval) (res Result, err error) {
+func (s *Solver) Check(f *expr.Term, bounds map[string]interval.Interval) (Result, error) {
+	return s.solve(f, bounds, true)
+}
+
+// Decide returns the verdict for f. It runs exactly Check's solve — the
+// model is still built and replayed by the guard — but looks up and
+// stores verdict-only cache entries, so a feasibility check never copies
+// a model into the cache. The repair loop's feasibility checks (IsSat,
+// Valid) ride on it.
+func (s *Solver) Decide(f *expr.Term, bounds map[string]interval.Interval) (Status, error) {
+	res, err := s.solve(f, bounds, false)
+	return res.Status, err
+}
+
+// solve is Check (wantModel) and Decide (!wantModel).
+func (s *Solver) solve(f *expr.Term, bounds map[string]interval.Interval, wantModel bool) (res Result, err error) {
 	if f.Sort != expr.SortBool {
 		return Result{}, fmt.Errorf("smt: Check: formula has sort %v, want Bool", f.Sort)
 	}
 	query := s.stats.queries.Add(1)
 	// Registered before the recover defer (so it runs after err is set):
 	// an aborted query's worker may have been corrupted mid-epoch, so its
-	// epoch's cache writes are withdrawn along with the incremental context.
+	// epoch's cache writes are withdrawn.
 	defer func() {
 		if err != nil && (errors.Is(err, ErrBudget) || errors.Is(err, ErrSolverPanic)) {
 			s.abortEpoch()
@@ -461,9 +386,9 @@ func (s *Solver) Check(f *expr.Term, bounds map[string]interval.Interval) (res R
 	}()
 	defer func() {
 		if r := recover(); r != nil {
-			// A panic may have interrupted a clause-database mutation:
-			// discard the incremental context, it is rebuilt lazily.
-			s.ctx = nil
+			// A panic may have interrupted an encoder or clause-database
+			// mutation: drop the reused storage, the next query rebuilds it.
+			s.enc = nil
 			s.stats.panics.Add(1)
 			s.stats.unknowns.Add(1)
 			res = Result{Status: Unknown}
@@ -481,71 +406,12 @@ func (s *Solver) Check(f *expr.Term, bounds map[string]interval.Interval) (res R
 			return Result{}, faultinject.ErrInjected
 		}
 	}
-	if c := s.opts.Cache; c != nil {
-		if v, ok := c.Lookup(f, bounds, s.opts.DefaultBounds); ok {
-			if v.Sat && !s.validateModel(f, bounds, v.Model) {
-				// Poisoned entry: quarantine it (pull the entry and any
-				// subsumption core it contributed) and fall through to
-				// re-solve one rung down.
-				c.Invalidate(f, bounds, s.opts.DefaultBounds)
-				s.guard.NoteQuarantine()
-				s.guard.NoteFallback()
-				s.stats.cacheMisses.Add(1)
-			} else {
-				s.stats.cacheHits.Add(1)
-				if v.Sat {
-					s.stats.satAnswers.Add(1)
-					return Result{Status: Sat, Model: v.Model}, nil
-				}
-				s.stats.unsatAnswers.Add(1)
-				return Result{Status: Unsat}, nil
-			}
-		} else {
-			s.stats.cacheMisses.Add(1)
-		}
+	if hit, ok := s.lookup(f, bounds, wantModel); ok {
+		return hit, nil
 	}
 	qtok := s.opts.Cancel
 	if s.opts.MaxQueryDuration > 0 {
 		qtok = cancel.WithTimeout(qtok, s.opts.MaxQueryDuration)
-	}
-	if s.opts.Incremental {
-		if !s.guard.RungAvailable() {
-			// Quarantined or breaker-pinned: serve this query from the
-			// scratch rung below.
-			s.guard.NoteFallback()
-		} else {
-			// Verdict first on the persistent context. Unsat answers (and
-			// their assumption cores) skip the scratch solve entirely; Sat
-			// answers fall through to the scratch path for the model, so
-			// models are bit-identical to scratch mode.
-			st, core, derr := s.incrementalCtx().decide(f, bounds, qtok, query)
-			st, core = s.applyLieDecide(st, core)
-			switch st {
-			case Unsat:
-				ok, core2, tres := s.verifyUnsat(f, bounds, core)
-				if !ok {
-					// The context claimed unsat but the trusted scratch
-					// solver found a model: quarantine the context and serve
-					// the trusted result.
-					s.quarantineCtx()
-					s.guard.NoteFallback()
-					return s.finish(f, bounds, tres, nil)
-				}
-				s.storeUnsat(f, bounds, core2)
-				s.stats.unsatAnswers.Add(1)
-				return Result{Status: Unsat}, nil
-			case Unknown:
-				if !errors.Is(derr, guard.ErrVerdictRejected) {
-					return Result{Status: Unknown}, derr
-				}
-				// The context caught its own clause database producing an
-				// invalid model: quarantine it and retry on the scratch
-				// rung below.
-				s.guard.NoteFailure()
-				s.quarantineCtx()
-				s.guard.NoteFallback()
-			}
-		}
 	}
 	res, err = s.check(f, bounds, qtok, query)
 	if err != nil || res.Status == Unknown {
@@ -554,36 +420,83 @@ func (s *Solver) Check(f *expr.Term, bounds map[string]interval.Interval) (res R
 	if !s.trusted {
 		res, err = s.vet(f, bounds, res)
 	}
-	return s.finish(f, bounds, res, err)
+	return s.finish(f, bounds, res, err, wantModel)
+}
+
+// lookup answers a query from the cache. Check needs a model, so only
+// entries carrying one serve it, and their models are replayed first;
+// Decide takes any entry.
+func (s *Solver) lookup(f *expr.Term, bounds map[string]interval.Interval, wantModel bool) (Result, bool) {
+	c := s.opts.Cache
+	if c == nil {
+		return Result{}, false
+	}
+	if !wantModel {
+		isSat, ok := c.LookupVerdict(f, bounds, s.opts.DefaultBounds)
+		if !ok {
+			s.stats.cacheMisses.Add(1)
+			return Result{}, false
+		}
+		s.stats.cacheHits.Add(1)
+		if isSat {
+			s.stats.satAnswers.Add(1)
+			return Result{Status: Sat}, true
+		}
+		s.stats.unsatAnswers.Add(1)
+		return Result{Status: Unsat}, true
+	}
+	v, ok := c.Lookup(f, bounds, s.opts.DefaultBounds)
+	if !ok {
+		s.stats.cacheMisses.Add(1)
+		return Result{}, false
+	}
+	if v.Sat && !s.validateModel(f, bounds, v.Model) {
+		// Poisoned entry: quarantine it (pull the entry and any
+		// subsumption core it contributed) and fall through to re-solve
+		// one rung down.
+		c.Invalidate(f, bounds, s.opts.DefaultBounds)
+		s.guard.NoteQuarantine()
+		s.guard.NoteFallback()
+		s.stats.cacheMisses.Add(1)
+		return Result{}, false
+	}
+	s.stats.cacheHits.Add(1)
+	if v.Sat {
+		s.stats.satAnswers.Add(1)
+		return Result{Status: Sat, Model: v.Model}, true
+	}
+	s.stats.unsatAnswers.Add(1)
+	return Result{Status: Unsat}, true
 }
 
 // finish counts and caches a settled decisive verdict. Every verdict that
 // reaches it has either been validated or comes from the trusted rung.
-func (s *Solver) finish(f *expr.Term, bounds map[string]interval.Interval, res Result, err error) (Result, error) {
+// Without wantModel the model has served its purpose (the guard replayed
+// it) and is dropped: the cache entry is verdict-only.
+func (s *Solver) finish(f *expr.Term, bounds map[string]interval.Interval, res Result, err error, wantModel bool) (Result, error) {
 	switch res.Status {
 	case Sat:
 		s.stats.satAnswers.Add(1)
 	case Unsat:
 		s.stats.unsatAnswers.Add(1)
 	}
-	if err == nil && s.opts.Cache != nil {
+	if !wantModel {
+		res.Model = nil
+	}
+	if err == nil && s.opts.Cache != nil && res.Status != Unknown {
 		// Only decisive verdicts are cacheable: Unknown reflects a budget,
 		// not the query.
-		switch res.Status {
-		case Sat:
-			s.storeValue(f, bounds, cache.Value{Sat: true, Model: res.Model})
-		case Unsat:
-			s.storeValue(f, bounds, cache.Value{Sat: false})
-		}
+		s.storeValue(f, bounds, cache.Value{Sat: res.Status == Sat, Model: res.Model})
 	}
 	return res, err
 }
 
 // vet applies adversarial lie injection (test hook) and then the guard's
-// verdict validation to a freshly produced scratch verdict, degrading down
-// the ladder until an answer validates: scratch → cache-bypass trusted
-// scratch → Unknown. The invariant: a verdict that fails validation is
-// never returned.
+// verdict validation to a freshly produced verdict, degrading down the
+// ladder until an answer validates: solve → cache-bypass trusted solve →
+// Unknown. A rejected verdict also quarantines the reused storage it was
+// produced on. The invariant: a verdict that fails validation is never
+// returned.
 func (s *Solver) vet(f *expr.Term, bounds map[string]interval.Interval, res Result) (Result, error) {
 	res = s.applyLieResult(res)
 	switch res.Status {
@@ -591,6 +504,7 @@ func (s *Solver) vet(f *expr.Term, bounds map[string]interval.Interval, res Resu
 		if s.validateModel(f, bounds, res.Model) {
 			return res, nil
 		}
+		s.guard.QuarantineRung()
 		// Bottom rung: cache-bypass solve on the trusted scratch solver.
 		s.guard.NoteFallback()
 		tres, terr := s.trustedScratch().Check(f, bounds)
@@ -607,8 +521,8 @@ func (s *Solver) vet(f *expr.Term, bounds map[string]interval.Interval, res Resu
 		}
 		return tres, nil
 	case Unsat:
-		ok, _, tres := s.verifyUnsat(f, bounds, nil)
-		if !ok {
+		if ok, tres := s.verifyUnsat(f, bounds); !ok {
+			s.guard.QuarantineRung()
 			s.guard.NoteFallback()
 			return tres, nil
 		}
@@ -625,64 +539,33 @@ func (s *Solver) validateModel(f *expr.Term, bounds map[string]interval.Interval
 	return ok
 }
 
-// verifyUnsat cross-checks a sampled unsat verdict (and its assumption
-// core, if any) against the trusted scratch solver. It returns ok=false
-// with the trusted result when the verdict itself diverged; a lying core
-// under a genuine unsat verdict is dropped (nil core) and the incremental
-// rung quarantined, since only the context produces cores.
-func (s *Solver) verifyUnsat(f *expr.Term, bounds map[string]interval.Interval, core []*expr.Term) (bool, []*expr.Term, Result) {
+// verifyUnsat cross-checks a sampled unsat verdict against the trusted
+// scratch solver. It returns ok=false with the trusted result when the
+// verdict diverged.
+func (s *Solver) verifyUnsat(f *expr.Term, bounds map[string]interval.Interval) (bool, Result) {
 	if !s.guard.ShouldCrossCheck() {
-		return true, core, Result{}
+		return true, Result{}
 	}
 	start := time.Now()
 	defer s.stats.timeValidate(start)
 	s.guard.NoteCrossCheck()
 	tres, terr := s.trustedScratch().Check(f, bounds)
 	if terr != nil || tres.Status == Unknown {
-		return true, core, Result{} // inconclusive: budgets ran out re-solving
+		return true, Result{} // inconclusive: budgets ran out re-solving
 	}
 	if tres.Status == Sat {
 		s.guard.NoteFailure()
-		return false, nil, tres
+		return false, tres
 	}
-	// Unsat confirmed. A narrowing core is about to be generalized into the
-	// cache's subsumption index, so it gets its own cross-check: the core
-	// formula must itself be unsat.
-	if len(core) > 0 && f.Op == expr.OpAnd && len(core) < len(f.Args) {
-		coreF := expr.And(core...)
-		if coreF != f && !coreF.IsTrue() {
-			s.guard.NoteCrossCheck()
-			if cres, cerr := s.trustedScratch().Check(coreF, bounds); cerr == nil && cres.Status == Sat {
-				// The verdict stands but the core is a lie; drop it and
-				// quarantine the context that produced it.
-				s.guard.NoteFailure()
-				s.quarantineCtx()
-				core = nil
-			}
-		}
-	}
-	return true, core, Result{}
-}
-
-// quarantineCtx discards the incremental context after a validation
-// failure attributed to it, starts the guard's backoff/breaker machinery,
-// and withdraws the epoch's cache writes (the lying context may have
-// poisoned them before it was caught).
-func (s *Solver) quarantineCtx() {
-	s.ctx = nil
-	s.guard.QuarantineRung()
-	s.abortEpoch()
+	return true, Result{}
 }
 
 // trustedScratch returns the child solver the ladder's trusted rungs run
 // on, creating it on first use. It shares budgets and the cancel token but
-// has no cache, no incremental context, no fault injection, and no guard
-// of its own.
+// has no cache, no fault injection, and no guard of its own.
 func (s *Solver) trustedScratch() *Solver {
 	if s.scratch == nil {
 		o := s.opts
-		o.Incremental = false
-		o.Portfolio = 0
 		o.Cache = nil
 		s.scratch = NewSolver(o)
 		s.scratch.trusted = true
@@ -690,28 +573,8 @@ func (s *Solver) trustedScratch() *Solver {
 	return s.scratch
 }
 
-// applyLieDecide is the adversarial-fault hook for verdict-only answers
-// from the incremental context (see faultinject.SolverLie). No-op outside
-// tests.
-func (s *Solver) applyLieDecide(st Status, core []*expr.Term) (Status, []*expr.Term) {
-	if st == Unknown {
-		return st, core
-	}
-	switch faultinject.SolverLie() {
-	case faultinject.SolverSpuriousUnsat:
-		if st == Sat {
-			return Unsat, nil
-		}
-	case faultinject.SolverTruncateCore:
-		if st == Unsat && len(core) > 1 {
-			return st, core[:1]
-		}
-	}
-	return st, core
-}
-
-// applyLieResult is the adversarial-fault hook for scratch-path results
-// (see faultinject.SolverLie). No-op outside tests.
+// applyLieResult is the adversarial-fault hook for solver results (see
+// faultinject.SolverLie). No-op outside tests.
 func (s *Solver) applyLieResult(res Result) Result {
 	if res.Status == Unknown {
 		return res
@@ -763,81 +626,106 @@ func (s *Solver) storeValue(f *expr.Term, bounds map[string]interval.Interval, v
 	}
 }
 
-// incrementalCtx returns the persistent context, creating it on first use.
-// A context whose clause database outgrew Options.MaxContextClauses is
-// retired first: the accumulated encodings are mostly dead (finished
-// patches, spent batch groups), and every solve pays for all of them.
-func (s *Solver) incrementalCtx() *Context {
-	if s.ctx != nil && s.opts.MaxContextClauses > 0 &&
-		s.ctx.enc.sat.NumClauses() > s.opts.MaxContextClauses {
-		s.ctx = nil
+// frontEnd runs simplify → purify → re-simplify over f's top-level
+// conjunct list. It returns the list expr.AndArgs would give for the
+// formula the three whole-query passes produce — same conjuncts, same
+// order, same auxiliary variables — without interning that query-wide
+// conjunction: an empty list is true, [false] is false. The list aliases
+// the solver's storage and lives until the next query.
+func (s *Solver) frontEnd(f *expr.Term) []*expr.Term {
+	top := []*expr.Term{f}
+	if f.Op == expr.OpAnd {
+		top = f.Args
 	}
-	if s.ctx == nil {
-		s.ctx = newContext(s.opts, &s.stats)
+	s.memo = resetMap(s.memo)
+	s.pur.reset()
+	s.tmp = s.tmp[:0]
+	for _, c := range top {
+		s.tmp = append(s.tmp, expr.SimplifyWith(c, s.memo))
 	}
-	return s.ctx
+	s.conj = expr.AndArgs(s.conj, s.tmp...)
+	if len(s.conj) == 1 && s.conj[0].IsFalse() {
+		return s.conj
+	}
+	// Purify div/rem/ite in conjunct order, then re-simplify so the new
+	// atoms are canonical. Simplification is pure, so the memo carries
+	// over.
+	s.tmp = s.tmp[:0]
+	for _, c := range s.conj {
+		s.tmp = append(s.tmp, s.pur.purify(c))
+	}
+	s.tmp = append(s.tmp, s.pur.defs...)
+	s.conj = expr.AndArgs(s.conj, s.tmp...)
+	s.tmp = s.tmp[:0]
+	for _, c := range s.conj {
+		s.tmp = append(s.tmp, expr.SimplifyWith(c, s.memo))
+	}
+	s.conj = expr.AndArgs(s.conj, s.tmp...)
+	return s.conj
 }
 
-// storeUnsat records an incremental unsat verdict in the cache, plus the
-// assumption core as its own unsat entry when it genuinely narrows the
-// query — that is what feeds the subsumption index with small cores.
-func (s *Solver) storeUnsat(f *expr.Term, bounds map[string]interval.Interval, core []*expr.Term) {
-	if s.opts.Cache == nil {
-		return
+// collectVars gathers the free variables of the conjunct list into
+// s.vars, each once.
+func (s *Solver) collectVars(conj []*expr.Term) {
+	s.vars = s.vars[:0]
+	s.varSet = resetMap(s.varSet)
+	var walk func(t *expr.Term)
+	walk = func(t *expr.Term) {
+		if s.varSet[t] {
+			return
+		}
+		s.varSet[t] = true
+		if t.Op == expr.OpVar {
+			s.vars = append(s.vars, t)
+			return
+		}
+		for _, a := range t.Args {
+			walk(a)
+		}
 	}
-	s.storeValue(f, bounds, cache.Value{Sat: false})
-	if len(core) == 0 || f.Op != expr.OpAnd || len(core) >= len(f.Args) {
-		return
-	}
-	coreF := expr.And(core...)
-	if coreF != f && !coreF.IsTrue() {
-		s.storeValue(coreF, bounds, cache.Value{Sat: false})
+	for _, c := range conj {
+		walk(c)
 	}
 }
 
 func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *cancel.Token, query uint64) (Result, error) {
-	f = expr.Simplify(f)
-
-	// Purify div/rem/ite, then re-simplify so new atoms are canonical.
-	pur := &purifier{}
-	g := pur.purify(f)
-	if len(pur.defs) > 0 {
-		g = expr.And(append([]*expr.Term{g}, pur.defs...)...)
-	}
-	g = expr.Simplify(g)
-
+	conj := s.frontEnd(f)
 	switch {
-	case g.IsTrue():
+	case len(conj) == 0:
 		m := expr.Model{}
 		fillModel(m, nil, bounds, s.opts.DefaultBounds)
 		return Result{Status: Sat, Model: m}, nil
-	case g.IsFalse():
+	case conj[0].IsFalse():
 		return Result{Status: Unsat}, nil
 	}
 
-	enc := newEncoder()
-	defer func() { // scratch solves learn too; only retention is incremental-only
-		st := enc.sat.Snapshot()
-		s.stats.clausesLearned.Add(st.Learned)
-		s.stats.clausesDeleted.Add(st.Deleted)
-	}()
-	root := enc.encode(g)
-	var stop func() bool
-	if qtok != nil {
-		stop = qtok.Expired
+	if s.enc == nil || !s.guard.RungAvailable() {
+		s.enc = newEncoder()
+		s.box = lia.NewBox(nil)
+	} else {
+		s.enc.reset()
+		s.box.Reset()
 	}
-	enc.sat.SetLimits(s.opts.MaxConflicts, stop)
+	enc := s.enc
+	defer func() {
+		s.stats.clausesLearned.Add(enc.sat.Statist.Learned)
+		s.stats.clausesDeleted.Add(enc.sat.Statist.Deleted)
+	}()
+	root := enc.encodeConj(conj)
+	if qtok != nil {
+		enc.sat.Stop = qtok.Expired
+	}
+	enc.sat.MaxConflicts = s.opts.MaxConflicts
 	if !enc.sat.AddClause(root) {
 		return Result{Status: Unsat}, nil
 	}
-	conflictsAtStart := enc.sat.Snapshot().Conflicts
 	budgetErr := func(stage string, round int, detail error) error {
 		s.stats.unknowns.Add(1)
 		return &BudgetError{
 			Stage:        stage,
 			Query:        query,
 			TheoryRounds: round,
-			Conflicts:    enc.sat.Snapshot().Conflicts - conflictsAtStart,
+			Conflicts:    enc.sat.Statist.Conflicts,
 			Clauses:      enc.sat.NumClauses(),
 			Atoms:        len(enc.atomVar),
 			Detail:       detail,
@@ -848,17 +736,19 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 		lopts.Stop = qtok.Expired
 	}
 
-	// Assemble bounds for all integer variables of the purified formula.
-	allBounds := make(map[string]interval.Interval)
-	for _, v := range expr.Vars(g) {
-		if v.Sort == expr.SortInt {
-			allBounds[v.Name] = s.opts.DefaultBounds
+	// Assemble the domains of all integer variables of the purified
+	// formula: the query's bounds, else the default. Each variable is
+	// extended once, with its final domain.
+	s.collectVars(conj)
+	box := s.box
+	for _, v := range s.vars {
+		if _, ok := bounds[v.Name]; !ok && v.Sort == expr.SortInt {
+			box.Extend(v.Name, s.opts.DefaultBounds)
 		}
 	}
 	for name, iv := range bounds {
-		allBounds[name] = iv
+		box.Extend(name, iv)
 	}
-
 	for round := 0; round < s.opts.MaxTheoryRounds; round++ {
 		if qtok.Expired() {
 			return Result{Status: Unknown}, budgetErr("deadline", round, qtok.Err())
@@ -882,6 +772,7 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 			// CDCL bug. Degrade to Unknown; the caller's ladder decides
 			// whether a lower rung can still answer.
 			s.guard.NoteFailure()
+			s.guard.QuarantineRung()
 			s.stats.unknowns.Add(1)
 			return Result{Status: Unknown}, fmt.Errorf("%w (sat tier, query %d round %d)", guard.ErrVerdictRejected, query, round)
 		}
@@ -891,19 +782,19 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 		// itself forces the formula true under the skeleton model (a
 		// cheap prime-implicant extraction). Smaller assertion sets mean
 		// cheaper LIA calls and far more general blocking clauses.
-		support := enc.support(g, model)
-		prob := lia.Problem{Bounds: allBounds}
+		support := enc.support(conj, model)
+		var cons []lia.Constraint
 		var asserted []sat.Lit
 		for _, sl := range support {
 			c, err := atomToConstraint(sl.atom, sl.positive)
 			if err != nil {
 				return Result{}, err
 			}
-			prob.Cons = append(prob.Cons, c)
+			cons = append(cons, c)
 			asserted = append(asserted, sat.MkLit(enc.atomVar[sl.atom], !sl.positive))
 		}
 		liaStart := time.Now()
-		res, err := lia.Solve(prob, lopts)
+		res, err := box.Solve(cons, lopts)
 		s.stats.timeLIA(liaStart)
 		if err != nil {
 			if errors.Is(err, lia.ErrBudget) {
@@ -916,10 +807,11 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 			return Result{}, err
 		}
 		if res.Status == lia.Sat {
-			if s.guard.Config().Paranoid && !lia.Verify(prob, res.Model) {
+			if s.guard.Config().Paranoid && !lia.Verify(lia.Problem{Cons: cons, Bounds: box.Bounds()}, res.Model) {
 				// The LIA tier's assignment violates its own constraint
 				// system (paranoid-mode defense in depth).
 				s.guard.NoteFailure()
+				s.guard.QuarantineRung()
 				s.stats.unknowns.Add(1)
 				return Result{Status: Unknown}, fmt.Errorf("%w (lia tier, query %d round %d)", guard.ErrVerdictRejected, query, round)
 			}
@@ -936,7 +828,7 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 					m[name] = 0
 				}
 			}
-			fillModel(m, g, bounds, s.opts.DefaultBounds)
+			fillModel(m, s.vars, bounds, s.opts.DefaultBounds)
 			return Result{Status: Sat, Model: m}, nil
 		}
 		// Theory conflict: block this support set.
@@ -951,18 +843,17 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 	return Result{Status: Unknown}, budgetErr("theory-rounds", s.opts.MaxTheoryRounds, nil)
 }
 
-// fillModel ensures every bounded variable has a value.
-func fillModel(m expr.Model, g *expr.Term, bounds map[string]interval.Interval, def interval.Interval) {
+// fillModel ensures every bounded variable, and every non-auxiliary
+// variable of the formula, has a value.
+func fillModel(m expr.Model, vars []*expr.Term, bounds map[string]interval.Interval, def interval.Interval) {
 	for name, iv := range bounds {
 		if _, ok := m[name]; !ok {
 			m[name] = clamp(0, iv)
 		}
 	}
-	if g != nil {
-		for _, v := range expr.Vars(g) {
-			if _, ok := m[v.Name]; !ok && !strings.HasPrefix(v.Name, auxPrefix) {
-				m[v.Name] = clamp(0, def)
-			}
+	for _, v := range vars {
+		if _, ok := m[v.Name]; !ok && !strings.HasPrefix(v.Name, auxPrefix) {
+			m[v.Name] = clamp(0, def)
 		}
 	}
 }
@@ -975,128 +866,6 @@ func clamp(pref int64, iv interval.Interval) int64 {
 		return iv.Hi
 	}
 	return pref
-}
-
-// Decide returns the verdict for f without constructing a model. In
-// scratch mode it is Check minus the model; in incremental mode it runs
-// entirely on the persistent context, which is the fast path the repair
-// loop's feasibility checks (IsSat, Valid) ride on.
-func (s *Solver) Decide(f *expr.Term, bounds map[string]interval.Interval) (Status, error) {
-	st, _, err := s.DecideCore(f, bounds)
-	return st, err
-}
-
-// DecideCore is Decide plus the assumption core: on Unsat it also returns
-// the subset of f's top-level conjuncts the incremental context found
-// sufficient for the conflict (already cross-check-vetted exactly like
-// the cores feeding the cache's subsumption index). A nil core carries no
-// information: scratch mode, cache hits, and non-narrowing cores all
-// return nil. The batcher (DecideBatch) uses cores to rule out many batch
-// items per solve.
-func (s *Solver) DecideCore(f *expr.Term, bounds map[string]interval.Interval) (st Status, coreOut []*expr.Term, err error) {
-	if !s.opts.Incremental {
-		res, err := s.Check(f, bounds)
-		return res.Status, nil, err
-	}
-	if f.Sort != expr.SortBool {
-		return Unknown, nil, fmt.Errorf("smt: Decide: formula has sort %v, want Bool", f.Sort)
-	}
-	query := s.stats.queries.Add(1)
-	defer func() {
-		if err != nil && (errors.Is(err, ErrBudget) || errors.Is(err, ErrSolverPanic)) {
-			s.abortEpoch() // see Check: abort withdraws the epoch's writes
-		}
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			s.ctx = nil // may be mid-mutation: discard, rebuilt lazily
-			s.stats.panics.Add(1)
-			s.stats.unknowns.Add(1)
-			st, coreOut = Unknown, nil
-			err = fmt.Errorf("%w: %v", ErrSolverPanic, r)
-		}
-	}()
-	switch faultinject.SolverQuery() {
-	case faultinject.SolverPanic:
-		panic(faultinject.PanicMsg)
-	case faultinject.SolverTimeout:
-		s.stats.unknowns.Add(1)
-		return Unknown, nil, &BudgetError{Stage: "fault-injection", Query: query}
-	case faultinject.SolverFail:
-		return Unknown, nil, faultinject.ErrInjected
-	}
-	if c := s.opts.Cache; c != nil {
-		if isSat, ok := c.LookupVerdict(f, bounds, s.opts.DefaultBounds); ok {
-			s.stats.cacheHits.Add(1)
-			if isSat {
-				s.stats.satAnswers.Add(1)
-				return Sat, nil, nil
-			}
-			s.stats.unsatAnswers.Add(1)
-			return Unsat, nil, nil
-		}
-		s.stats.cacheMisses.Add(1)
-	}
-	qtok := s.opts.Cancel
-	if s.opts.MaxQueryDuration > 0 {
-		qtok = cancel.WithTimeout(qtok, s.opts.MaxQueryDuration)
-	}
-	if !s.guard.RungAvailable() {
-		// Quarantined or breaker-pinned: the scratch rung serves the query
-		// (with full vetting and cache participation — a breaker-pinned
-		// worker keeps cache benefits, it only loses the retained context).
-		s.guard.NoteFallback()
-		st, err = s.scratchDecide(f, bounds, qtok, query)
-		return st, nil, err
-	}
-	st, core, err := s.incrementalCtx().decide(f, bounds, qtok, query)
-	st, core = s.applyLieDecide(st, core)
-	switch st {
-	case Unknown:
-		if errors.Is(err, guard.ErrVerdictRejected) {
-			// See Check: the context rejected its own model — quarantine
-			// and retry the query on the scratch rung.
-			s.guard.NoteFailure()
-			s.quarantineCtx()
-			s.guard.NoteFallback()
-			st, err = s.scratchDecide(f, bounds, qtok, query)
-			return st, nil, err
-		}
-	case Sat:
-		s.stats.satAnswers.Add(1)
-		if s.opts.Cache != nil {
-			// Verdict-only entry: answers future Decide calls; a later
-			// Check upgrades it with the model.
-			s.storeValue(f, bounds, cache.Value{Sat: true})
-		}
-	case Unsat:
-		ok, core2, tres := s.verifyUnsat(f, bounds, core)
-		if !ok {
-			// Spurious unsat from the context: quarantine it and serve the
-			// trusted scratch verdict (with its model, which upgrades the
-			// cache entry for free).
-			s.quarantineCtx()
-			s.guard.NoteFallback()
-			res, ferr := s.finish(f, bounds, tres, nil)
-			return res.Status, nil, ferr
-		}
-		s.stats.unsatAnswers.Add(1)
-		s.storeUnsat(f, bounds, core2)
-		return st, core2, err
-	}
-	return st, nil, err
-}
-
-// scratchDecide serves a Decide query from the scratch rung, with full
-// vetting and cache participation.
-func (s *Solver) scratchDecide(f *expr.Term, bounds map[string]interval.Interval, qtok *cancel.Token, query uint64) (Status, error) {
-	res, err := s.check(f, bounds, qtok, query)
-	if err != nil || res.Status == Unknown {
-		return res.Status, err
-	}
-	res, err = s.vet(f, bounds, res)
-	res, err = s.finish(f, bounds, res, err)
-	return res.Status, err
 }
 
 // IsSat reports whether f is satisfiable.

@@ -9,28 +9,56 @@ import (
 
 // encoder Tseitin-encodes the boolean skeleton of a purified, simplified
 // formula into a CDCL solver, keeping the map from theory atoms to SAT
-// variables for the DPLL(T) loop.
+// variables for the DPLL(T) loop. A Solver keeps one encoder for its
+// lifetime and resets it before each query.
 type encoder struct {
-	sat      cdcl
+	sat      *sat.Solver
 	atomVar  map[*expr.Term]int // theory atom → SAT var
-	atoms    []*expr.Term       // atoms in first-encounter order (determinism)
 	boolVar  map[string]int     // named boolean variable → SAT var
 	cache    map[*expr.Term]sat.Lit
 	trueLit  sat.Lit
 	haveTrue bool
+
+	// support walk scratch
+	model []bool
+	seen  map[*expr.Term]bool
+	supp  []suppLit
 }
 
-func newEncoder() *encoder { return newEncoderWith(sat.New()) }
-
-// newEncoderWith builds an encoder over an explicit boolean engine (a
-// portfolio, for racing contexts).
-func newEncoderWith(engine cdcl) *encoder {
+func newEncoder() *encoder {
 	return &encoder{
-		sat:     engine,
+		sat:     sat.New(),
 		atomVar: make(map[*expr.Term]int),
 		boolVar: make(map[string]int),
 		cache:   make(map[*expr.Term]sat.Lit),
+		seen:    make(map[*expr.Term]bool),
 	}
+}
+
+// maxRetainedEntries caps the maps a reset keeps: a query that grew one
+// past it leaves it to the garbage collector rather than pinning it (and
+// paying to clear it) for every later query.
+const maxRetainedEntries = 1 << 12
+
+// reset returns the encoder to the state newEncoder creates, keeping its
+// storage.
+func (e *encoder) reset() {
+	e.sat.Reset()
+	e.atomVar = resetMap(e.atomVar)
+	e.boolVar = resetMap(e.boolVar)
+	e.cache = resetMap(e.cache)
+	e.seen = resetMap(e.seen)
+	e.haveTrue = false
+	e.model, e.supp = nil, e.supp[:0]
+}
+
+// resetMap empties m for reuse, or replaces it past the retention cap.
+func resetMap[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil || len(m) > maxRetainedEntries {
+		return make(map[K]V)
+	}
+	clear(m)
+	return m
 }
 
 func (e *encoder) constTrue() sat.Lit {
@@ -85,19 +113,7 @@ func (e *encoder) encode(t *expr.Term) sat.Lit {
 	case expr.OpNot:
 		l = e.encode(t.Args[0]).Not()
 	case expr.OpAnd:
-		lits := make([]sat.Lit, len(t.Args))
-		for i, a := range t.Args {
-			lits[i] = e.encode(a)
-		}
-		g := sat.MkLit(e.sat.NewVar(), false)
-		long := make([]sat.Lit, 0, len(lits)+1)
-		long = append(long, g)
-		for _, li := range lits {
-			e.sat.AddClause(g.Not(), li)
-			long = append(long, li.Not())
-		}
-		e.sat.AddClause(long...)
-		l = g
+		l = e.andGate(t.Args)
 	case expr.OpOr:
 		lits := make([]sat.Lit, len(t.Args))
 		for i, a := range t.Args {
@@ -137,6 +153,34 @@ func (e *encoder) encode(t *expr.Term) sat.Lit {
 	return l
 }
 
+// andGate returns a fresh literal equivalent to the conjunction of args.
+func (e *encoder) andGate(args []*expr.Term) sat.Lit {
+	lits := make([]sat.Lit, len(args))
+	for i, a := range args {
+		lits[i] = e.encode(a)
+	}
+	g := sat.MkLit(e.sat.NewVar(), false)
+	long := make([]sat.Lit, 0, len(lits)+1)
+	long = append(long, g)
+	for _, li := range lits {
+		e.sat.AddClause(g.Not(), li)
+		long = append(long, li.Not())
+	}
+	e.sat.AddClause(long...)
+	return g
+}
+
+// encodeConj returns a literal equivalent to a non-empty conjunct list as
+// expr.AndArgs builds it. It emits exactly the clauses encode would for
+// the conjunction's term, in the same order, without that term: a single
+// conjunct is the term itself, and a longer list gets the root And gate.
+func (e *encoder) encodeConj(conj []*expr.Term) sat.Lit {
+	if len(conj) == 1 {
+		return e.encode(conj[0])
+	}
+	return e.andGate(conj)
+}
+
 // suppLit is a theory atom with the polarity the support set requires.
 type suppLit struct {
 	atom     *expr.Term
@@ -153,86 +197,92 @@ func (e *encoder) litValue(t *expr.Term, model []bool) bool {
 }
 
 // support extracts a subset of theory literals that by itself forces the
-// root formula true under the given skeleton model: a cheap prime
-// implicant. For a true disjunction one true child suffices; for a false
-// conjunction one false child suffices; everything else is followed
-// according to its model value.
-func (e *encoder) support(root *expr.Term, model []bool) []suppLit {
-	var out []suppLit
-	seen := make(map[*expr.Term]bool)
-	var mark func(t *expr.Term)
-	mark = func(t *expr.Term) {
-		if seen[t] {
+// asserted conjunct list true under the given skeleton model: a cheap
+// prime implicant. The conjunction is asserted, so every conjunct is
+// followed — the walk a true root And gets. Below it, for a true
+// disjunction one true child suffices; for a false conjunction one false
+// child suffices; everything else is followed according to its model
+// value. The returned slice is reused by the next call.
+func (e *encoder) support(conj []*expr.Term, model []bool) []suppLit {
+	e.model = model
+	e.supp = e.supp[:0]
+	clear(e.seen)
+	for _, t := range conj {
+		e.mark(t)
+	}
+	return e.supp
+}
+
+func (e *encoder) mark(t *expr.Term) {
+	if e.seen[t] {
+		return
+	}
+	e.seen[t] = true
+	model := e.model
+	val := e.litValue(t, model)
+	switch t.Op {
+	case expr.OpBoolConst:
+		// constants need no support
+	case expr.OpVar:
+		// boolean decision variables carry no theory content
+	case expr.OpLe, expr.OpLt, expr.OpGe, expr.OpGt:
+		e.supp = append(e.supp, suppLit{atom: t, positive: val})
+	case expr.OpEq, expr.OpNe:
+		if t.Args[0].Sort == expr.SortInt {
+			e.supp = append(e.supp, suppLit{atom: t, positive: val})
 			return
 		}
-		seen[t] = true
-		val := e.litValue(t, model)
-		switch t.Op {
-		case expr.OpBoolConst:
-			// constants need no support
-		case expr.OpVar:
-			// boolean decision variables carry no theory content
-		case expr.OpLe, expr.OpLt, expr.OpGe, expr.OpGt:
-			out = append(out, suppLit{atom: t, positive: val})
-		case expr.OpEq, expr.OpNe:
-			if t.Args[0].Sort == expr.SortInt {
-				out = append(out, suppLit{atom: t, positive: val})
-				return
-			}
-			mark(t.Args[0])
-			mark(t.Args[1])
-		case expr.OpNot:
-			mark(t.Args[0])
-		case expr.OpAnd:
-			if val {
-				for _, a := range t.Args {
-					mark(a)
-				}
-				return
-			}
+		e.mark(t.Args[0])
+		e.mark(t.Args[1])
+	case expr.OpNot:
+		e.mark(t.Args[0])
+	case expr.OpAnd:
+		if val {
 			for _, a := range t.Args {
-				if !e.litValue(a, model) {
-					mark(a)
-					return
-				}
+				e.mark(a)
 			}
-		case expr.OpOr:
-			if !val {
-				for _, a := range t.Args {
-					mark(a)
-				}
-				return
-			}
-			for _, a := range t.Args {
-				if e.litValue(a, model) {
-					mark(a)
-					return
-				}
-			}
-		case expr.OpImplies:
-			if !val {
-				mark(t.Args[0])
-				mark(t.Args[1])
-				return
-			}
-			if !e.litValue(t.Args[0], model) {
-				mark(t.Args[0])
-				return
-			}
-			mark(t.Args[1])
-		case expr.OpIte:
-			mark(t.Args[0])
-			if e.litValue(t.Args[0], model) {
-				mark(t.Args[1])
-			} else {
-				mark(t.Args[2])
-			}
-		default:
-			panic("smt: support: unexpected operator " + t.Op.String())
+			return
 		}
+		for _, a := range t.Args {
+			if !e.litValue(a, model) {
+				e.mark(a)
+				return
+			}
+		}
+	case expr.OpOr:
+		if !val {
+			for _, a := range t.Args {
+				e.mark(a)
+			}
+			return
+		}
+		for _, a := range t.Args {
+			if e.litValue(a, model) {
+				e.mark(a)
+				return
+			}
+		}
+	case expr.OpImplies:
+		if !val {
+			e.mark(t.Args[0])
+			e.mark(t.Args[1])
+			return
+		}
+		if !e.litValue(t.Args[0], model) {
+			e.mark(t.Args[0])
+			return
+		}
+		e.mark(t.Args[1])
+	case expr.OpIte:
+		e.mark(t.Args[0])
+		if e.litValue(t.Args[0], model) {
+			e.mark(t.Args[1])
+		} else {
+			e.mark(t.Args[2])
+		}
+	default:
+		panic("smt: support: unexpected operator " + t.Op.String())
 	}
-	mark(root)
-	return out
 }
 
 func (e *encoder) atomLit(t *expr.Term) sat.Lit {
@@ -240,7 +290,6 @@ func (e *encoder) atomLit(t *expr.Term) sat.Lit {
 	if !ok {
 		v = e.sat.NewVar()
 		e.atomVar[t] = v
-		e.atoms = append(e.atoms, t)
 	}
 	return sat.MkLit(v, false)
 }
