@@ -123,7 +123,7 @@ func PatchText(p *Patch, params Model) string {
 	for k, v := range params {
 		sub[k] = expr.Int(v)
 	}
-	return expr.CString(expr.Simplify(expr.Subst(p.Expr, sub)))
+	return expr.CString(expr.Simplify(expr.Subst(p.Expr, sub), nil))
 }
 
 // Repair runs concolic program repair (Algorithm 1 of the paper) and

@@ -97,7 +97,7 @@ func TestCrashRecordsImplicitBranch(t *testing.T) {
 	// The last branch must be the zero-divisor condition y == 0.
 	last := exec.Branches[len(exec.Branches)-1]
 	wantCond := expr.Eq(expr.IntVar("y"), expr.Int(0))
-	if expr.Simplify(last.Cond) != expr.Simplify(wantCond) {
+	if expr.Simplify(last.Cond, nil) != expr.Simplify(wantCond, nil) {
 		t.Fatalf("last branch %v, want %v", last.Cond, wantCond)
 	}
 }

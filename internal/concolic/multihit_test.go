@@ -80,10 +80,10 @@ void main(int x) {
 	}
 	snap := exec.HoleHits[0].Snapshot
 	x := expr.IntVar("x")
-	if got := expr.Simplify(snap["doubled"]); got != expr.Simplify(expr.Mul(expr.Int(2), x)) {
+	if got := expr.Simplify(snap["doubled"], nil); got != expr.Simplify(expr.Mul(expr.Int(2), x), nil) {
 		t.Fatalf("doubled snapshot: %v", got)
 	}
-	if got := expr.Simplify(snap["shifted"]); got != expr.Simplify(expr.Add(expr.Mul(expr.Int(2), x), expr.Int(5))) {
+	if got := expr.Simplify(snap["shifted"], nil); got != expr.Simplify(expr.Add(expr.Mul(expr.Int(2), x), expr.Int(5)), nil) {
 		t.Fatalf("shifted snapshot: %v", got)
 	}
 	if exec.HoleHits[0].Concrete["doubled"] != 6 || exec.HoleHits[0].Concrete["shifted"] != 11 {

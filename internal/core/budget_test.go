@@ -89,13 +89,25 @@ func TestRepairCancelledBeforeStart(t *testing.T) {
 func TestRepairDeadlineMidExplore(t *testing.T) {
 	job := divZeroJob()
 	job.Budget.MaxIterations = 1 << 20
-	job.Budget.Deadline = time.Now().Add(300 * time.Millisecond)
+	// The deadline falls halfway through an uninterrupted run of the same
+	// job, timed here, so it lands partway through on any machine and at
+	// any engine speed; a fixed duration outlives the whole run once the
+	// engine is fast enough.
+	start := time.Now()
+	full, err := Repair(job, Options{})
+	if err != nil {
+		t.Fatalf("uninterrupted Repair: %v", err)
+	}
+	job.Budget.Deadline = time.Now().Add(time.Since(start) / 2)
 	res, err := Repair(job, Options{})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
 	if !res.Stats.TimedOut {
 		t.Fatalf("Stats.TimedOut not set: %+v", res.Stats)
+	}
+	if res.Stats.PathsExplored >= full.Stats.PathsExplored {
+		t.Fatalf("interrupted run explored %d paths, the uninterrupted run %d", res.Stats.PathsExplored, full.Stats.PathsExplored)
 	}
 	if res.Pool.Size() == 0 {
 		t.Fatal("mid-explore deadline lost the pool")

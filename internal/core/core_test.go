@@ -143,7 +143,7 @@ func TestValidationReproducesPaperInitialConstraints(t *testing.T) {
 	x, y := expr.IntVar("x"), expr.IntVar("y")
 	a, b := expr.IntVar("a"), expr.IntVar("b")
 	find := func(tpl *expr.Term) *patch.Patch {
-		c := expr.Simplify(tpl)
+		c := expr.Simplify(tpl, nil)
 		for _, p := range res.Pool.Patches {
 			if p.Expr == c {
 				return p
@@ -320,7 +320,7 @@ func TestCoversEquivalence(t *testing.T) {
 		t.Fatalf("x >= a should not cover the developer patch")
 	}
 	// A syntactically identical concrete patch trivially covers.
-	r := patch.New(3, expr.Simplify(dev), nil)
+	r := patch.New(3, expr.Simplify(dev, nil), nil)
 	ok, _, err = Covers(solver, r, dev, bounds, 0)
 	if err != nil || !ok {
 		t.Fatalf("identical patch should cover: %v %v", ok, err)

@@ -55,7 +55,7 @@ int main(int x) {
 		t.Errorf("rank %d, want top-5 (spec pins the expression exactly)", rank)
 	}
 	// The surviving x + a patch must have collapsed to a = 1.
-	xa := expr.Simplify(expr.Add(expr.IntVar("x"), expr.IntVar("a")))
+	xa := expr.Simplify(expr.Add(expr.IntVar("x"), expr.IntVar("a")), nil)
 	for _, p := range res.Pool.Patches {
 		if p.Expr == xa {
 			if p.CountConcrete() != 1 || !p.Constraint.Contains([]int64{1}) {

@@ -20,7 +20,7 @@ func TestModelCountRankingDamps(t *testing.T) {
 		t.Fatalf("Repair (mc): %v", err)
 	}
 	score := func(res *Result, tpl *expr.Term) (float64, bool) {
-		c := expr.Simplify(tpl)
+		c := expr.Simplify(tpl, nil)
 		for _, p := range res.Pool.Patches {
 			if p.Expr == c {
 				return p.Score, true

@@ -77,7 +77,7 @@ void main(int s, int n) {
 		// (a) some surviving patch covers the developer guard s ≥ k.
 		protective := false
 		for _, p := range res.Pool.Patches {
-			if p.Expr == expr.Simplify(expr.Ge(expr.IntVar("s"), expr.IntVar("a"))) {
+			if p.Expr == expr.Simplify(expr.Ge(expr.IntVar("s"), expr.IntVar("a")), nil) {
 				if p.Constraint.Contains([]int64{k}) {
 					protective = true
 				}

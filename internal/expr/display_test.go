@@ -8,12 +8,12 @@ func TestNaturalCmpDisplay(t *testing.T) {
 		t    *Term
 		want string
 	}{
-		{Simplify(Ge(x, Add(a, Int(1)))), "a <= x - 1"}, // canonical side choice
-		{Simplify(Le(Add(a, Neg(x)), Int(-1))), "a <= x - 1"},
-		{Simplify(Eq(Sub(a, x), Int(0))), "a == x"},
-		{Simplify(Lt(Mul(Int(2), x), Add(y, Int(7)))), "2 * x <= y + 6"},
-		{Simplify(Ne(x, Int(0))), "x != 0"},
-		{Simplify(Le(Int(3), x)), "x >= 3"},
+		{Simplify(Ge(x, Add(a, Int(1))), nil), "a <= x - 1"}, // canonical side choice
+		{Simplify(Le(Add(a, Neg(x)), Int(-1)), nil), "a <= x - 1"},
+		{Simplify(Eq(Sub(a, x), Int(0)), nil), "a == x"},
+		{Simplify(Lt(Mul(Int(2), x), Add(y, Int(7))), nil), "2 * x <= y + 6"},
+		{Simplify(Ne(x, Int(0)), nil), "x != 0"},
+		{Simplify(Le(Int(3), x), nil), "x >= 3"},
 	}
 	for _, c := range cases {
 		if got := CString(c.t); got != c.want {

@@ -188,20 +188,20 @@ func TestCString(t *testing.T) {
 
 func TestSimplifyNormalizesEquivalentAtoms(t *testing.T) {
 	x, y := IntVar("x"), IntVar("y")
-	a := Simplify(Gt(Add(x, Int(1)), y)) // x+1 > y  ⇔  y - x ≤ 0
-	b := Simplify(Ge(x, y))              // x ≥ y    ⇔  y - x ≤ 0
+	a := Simplify(Gt(Add(x, Int(1)), y), nil) // x+1 > y  ⇔  y - x ≤ 0
+	b := Simplify(Ge(x, y), nil)              // x ≥ y    ⇔  y - x ≤ 0
 	if a != b {
 		t.Fatalf("equivalent atoms differ after Simplify: %v vs %v", a, b)
 	}
-	c := Simplify(Lt(Mul(Int(2), x), Int(7))) // 2x < 7 ⇔ 2x ≤ 6 ⇔ x ≤ 3
-	d := Simplify(Le(x, Int(3)))
+	c := Simplify(Lt(Mul(Int(2), x), Int(7)), nil) // 2x < 7 ⇔ 2x ≤ 6 ⇔ x ≤ 3
+	d := Simplify(Le(x, Int(3)), nil)
 	if c != d {
 		t.Fatalf("gcd tightening failed: %v vs %v", c, d)
 	}
-	if got := Simplify(Eq(Mul(Int(2), x), Int(5))); got != False() {
+	if got := Simplify(Eq(Mul(Int(2), x), Int(5)), nil); got != False() {
 		t.Fatalf("2x = 5 should simplify to false, got %v", got)
 	}
-	if got := Simplify(Ne(Mul(Int(2), x), Int(5))); got != True() {
+	if got := Simplify(Ne(Mul(Int(2), x), Int(5)), nil); got != True() {
 		t.Fatalf("2x ≠ 5 should simplify to true, got %v", got)
 	}
 }
@@ -268,7 +268,7 @@ func TestSimplifyPreservesSemantics(t *testing.T) {
 		tm := randTerm(r, 3, SortBool)
 		m := Model{"x": int64(x), "y": int64(y), "p": b2i(p)}
 		v1, err1 := Eval(tm, m)
-		v2, err2 := Eval(Simplify(tm), m)
+		v2, err2 := Eval(Simplify(tm, nil), m)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -115,34 +115,32 @@ func floorDiv(a, b int64) int64 {
 //
 // Structurally distinct but semantically identical atoms such as x+1 > y
 // and x >= y therefore intern to the same term.
-func Simplify(t *Term) *Term {
-	return SimplifyWith(t, make(map[*Term]*Term))
-}
-
-// SimplifyWith is Simplify with a caller-owned memo. Simplification is a
-// pure function of the interned term, so one memo may serve many calls —
-// every conjunct of a solver query, for instance.
-func SimplifyWith(t *Term, memo map[*Term]*Term) *Term {
+//
+// memo maps terms to their simplified forms; nil means a fresh one.
+// Simplification is a pure function of the interned term, so one memo may
+// serve any number of calls — every query a solver answers, for instance.
+func Simplify(t *Term, memo map[*Term]*Term) *Term {
+	if memo == nil {
+		memo = make(map[*Term]*Term)
+	}
 	return simplifyCached(t, memo)
 }
 
 func simplifyCached(t *Term, cache map[*Term]*Term) *Term {
+	switch t.Op {
+	case OpIntConst, OpBoolConst, OpVar:
+		return t // leaves are their own simplified form; the memo skips them
+	}
 	if r, ok := cache[t]; ok {
 		return r
 	}
-	var r *Term
-	switch t.Op {
-	case OpIntConst, OpBoolConst, OpVar:
-		r = t
-	default:
-		args := make([]*Term, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = simplifyCached(a, cache)
-		}
-		r = Rebuild(t.Op, args)
-		if isIntCmp(r) {
-			r = normalizeCmp(r)
-		}
+	args := make([]*Term, len(t.Args))
+	for i, a := range t.Args {
+		args[i] = simplifyCached(a, cache)
+	}
+	r := Rebuild(t.Op, args)
+	if isIntCmp(r) {
+		r = normalizeCmp(r)
 	}
 	cache[t] = r
 	return r

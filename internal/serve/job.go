@@ -336,7 +336,7 @@ func buildResult(j core.Job, res *core.Result, top int) *Result {
 			for k, v := range params {
 				sub[k] = expr.Int(v)
 			}
-			out.Repaired = lang.Format(j.Program, expr.CString(expr.Simplify(expr.Subst(best.Expr, sub))))
+			out.Repaired = lang.Format(j.Program, expr.CString(expr.Simplify(expr.Subst(best.Expr, sub), nil)))
 		}
 	}
 	return out

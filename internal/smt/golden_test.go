@@ -229,14 +229,7 @@ func TestGoldenModels(t *testing.T) {
 		}
 		return
 	}
-	b, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []goldenRecord
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readGolden(t)
 	if len(want) != len(got) {
 		t.Fatalf("corpus has %d queries, recording %d", len(got), len(want))
 	}
@@ -245,4 +238,18 @@ func TestGoldenModels(t *testing.T) {
 			t.Errorf("query %d drifted:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// readGolden returns the recorded answers to the golden corpus.
+func readGolden(t *testing.T) []goldenRecord {
+	t.Helper()
+	b, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []goldenRecord
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
 }

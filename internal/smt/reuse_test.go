@@ -4,12 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"cpr/internal/cancel"
 	"cpr/internal/expr"
 	"cpr/internal/faultinject"
 	"cpr/internal/interval"
 	"cpr/internal/smt/cache"
+	"cpr/internal/smt/guard"
+	"cpr/internal/smt/lia"
 )
 
 // pigeonhole returns the propositionally-unsat PHP(holes+1, holes)
@@ -48,7 +51,8 @@ func wantFresh(t *testing.T, s *Solver, q goldenQuery, what string) {
 // conflict budget, a cancelled token, or an injected fault, panics
 // included — leaves the solver's reused encoder and CDCL storage in some
 // intermediate state. The next query must not see any of it: every later
-// answer equals a fresh solver's, model included.
+// answer equals a fresh solver's, model included. A panic also drops the
+// simplification memo and the constraint table.
 func TestReusedStorageSurvivesAborts(t *testing.T) {
 	corpus := goldenCorpus()
 
@@ -80,6 +84,9 @@ func TestReusedStorageSurvivesAborts(t *testing.T) {
 			faultinject.Activate(plan)
 			res, err := s.Check(q.f, q.bounds)
 			faultinject.Deactivate()
+			if errors.Is(err, ErrSolverPanic) && (s.enc != nil || s.memo != nil || s.atomCons != nil) {
+				t.Fatalf("%s: a recovered panic left the reused storage in place", q.name)
+			}
 			var be *BudgetError
 			if errors.Is(err, ErrSolverPanic) || errors.Is(err, faultinject.ErrInjected) ||
 				errors.As(err, &be) && be.Stage == "fault-injection" {
@@ -103,6 +110,35 @@ func TestReusedStorageSurvivesAborts(t *testing.T) {
 		if kind == faultinject.SolverPanic && s.Stats().Panics == 0 {
 			t.Fatal("panic faults not recorded in stats")
 		}
+	}
+
+	// A panic inside the theory loop, after the query's front-end work has
+	// filled the memo and its first round the constraint table.
+	armed := false
+	s = NewSolver(Options{MaxTheoryRounds: 400, LIA: lia.Options{Stop: func() bool {
+		if armed {
+			panic("injected mid-query panic")
+		}
+		return false
+	}}})
+	for _, q := range corpus[:20] {
+		wantFresh(t, s, q, "before a mid-query panic")
+	}
+	// x·y = 9973, a prime: the LIA tier enumerates a factor's domain,
+	// polling Stop as it goes.
+	x, y := expr.IntVar("x"), expr.IntVar("y")
+	armed = true
+	_, err = s.Check(expr.Eq(expr.Mul(x, y), expr.Int(9973)),
+		map[string]interval.Interval{"x": interval.New(2, 4000), "y": interval.New(2, 4000)})
+	armed = false
+	if !errors.Is(err, ErrSolverPanic) {
+		t.Fatalf("mid-query panic: %v, want ErrSolverPanic", err)
+	}
+	if s.enc != nil || s.memo != nil || s.atomCons != nil {
+		t.Fatal("a mid-query panic left the reused storage in place")
+	}
+	for _, q := range corpus[:20] {
+		wantFresh(t, s, q, "after a mid-query panic")
 	}
 }
 
@@ -151,21 +187,29 @@ func TestVerdictOnlyFeasibility(t *testing.T) {
 }
 
 // TestRejectedVerdictQuarantinesReusedStorage: a verdict the guard rejects
-// takes the solver's reused storage out of service, and the third such
-// failure pins the solver to fresh storage. Answers stay those of a fresh
-// solver throughout: the lies are caught and re-solved, and fresh storage
-// answers exactly as reused storage does.
+// takes the solver's reused storage out of service — the simplification
+// memo and the constraint table included — and the third such failure
+// pins the solver to fresh storage. Answers stay those of a fresh solver
+// throughout: the lies are caught and re-solved, and fresh storage answers
+// exactly as reused storage does.
 func TestRejectedVerdictQuarantinesReusedStorage(t *testing.T) {
 	corpus := goldenCorpus()
-	s := NewSolver(Options{MaxTheoryRounds: 400})
+	// A long backoff keeps the quarantine in force however slowly the
+	// queries run, so the query after a rejection is sure to see it.
+	s := NewSolver(Options{MaxTheoryRounds: 400, Guard: guard.Config{RebuildBackoff: time.Hour, RebuildBackoffMax: time.Hour}})
 	faultinject.Activate(&faultinject.Plan{LieEvery: 1, LieKind: faultinject.SolverFlipModel})
 	rejected := 0
+	dropDue := false
 	for _, q := range corpus {
 		if s.guard.BreakerOpen() {
 			break
 		}
 		before := s.Stats().ValidationFailures
 		res, err := s.Check(q.f, q.bounds)
+		if dropDue && markerPlanted(s) {
+			t.Fatalf("%s: the tables survived the quarantine of the reused storage", q.name)
+		}
+		dropDue = false
 		if err != nil || s.Stats().ValidationFailures == before {
 			continue
 		}
@@ -176,6 +220,8 @@ func TestRejectedVerdictQuarantinesReusedStorage(t *testing.T) {
 		if want := goldenAnswer(t, NewSolver(Options{MaxTheoryRounds: 400}), q); renderModel(res.Model) != want.Model {
 			t.Fatalf("%s: served %v after a rejected verdict, a fresh solver %+v", q.name, res.Model, want)
 		}
+		plantMarker(s)
+		dropDue = true
 	}
 	faultinject.Deactivate()
 	if rejected != 3 || !s.guard.BreakerOpen() {

@@ -25,6 +25,9 @@
 // what matters: the front-end works on the query's top-level conjunct
 // list without interning a query-wide conjunction, and a Solver reuses one
 // encoder and one CDCL instance (reset, not reallocated) across queries.
+// The front-end's pure per-term work — simplification and the translation
+// of theory atoms into LIA constraints — is memoized for the solver's
+// lifetime, since successive queries share nearly all of their terms.
 package smt
 
 import (
@@ -218,19 +221,24 @@ type Solver struct {
 	opts  Options
 	stats solverStats
 	// enc is the encoder and CDCL instance every query of this solver
-	// reuses, and box the theory loop's bounds environment; pur, memo, and
-	// the slices below are the rest of the per-query storage. check resets
-	// them all before each query. A recovered panic drops enc, since it
-	// may be mid-mutation; while the guard has the reused-storage rung
-	// quarantined, every query gets a fresh enc and box.
-	enc    *encoder
-	box    *lia.Box
-	pur    purifier
-	memo   map[*expr.Term]*expr.Term
-	conj   []*expr.Term
-	tmp    []*expr.Term
-	vars   []*expr.Term
-	varSet map[*expr.Term]bool
+	// reuses, and box the theory loop's bounds environment; pur and the
+	// slices below are the rest of the per-query storage. check resets
+	// them all before each query. memo (term → simplified term) and
+	// atomCons (theory literal → LIA constraint) hold pure functions of
+	// interned terms, so they carry over from query to query, each
+	// replaced by a fresh map once it passes its cap. A recovered panic
+	// drops enc and both tables, since any of them may be mid-mutation;
+	// while the guard has the reused-storage rung quarantined, every query
+	// gets a fresh enc, box, and tables.
+	enc      *encoder
+	box      *lia.Box
+	pur      purifier
+	memo     map[*expr.Term]*expr.Term
+	atomCons map[suppLit]lia.Constraint
+	conj     []*expr.Term
+	tmp      []*expr.Term
+	vars     []*expr.Term
+	varSet   map[*expr.Term]bool
 	// guard validates verdicts and drives the degradation ladder; see
 	// package guard. Every solver has one (the overhead of validation is
 	// one model replay per sat answer plus sampled unsat cross-checks).
@@ -249,6 +257,14 @@ type Solver struct {
 	// behind in shared state.
 	journal []cache.Key
 }
+
+// maxMemoEntries and maxAtomCons cap the solver-lifetime tables: a table
+// that has grown past its cap is replaced by an empty one before the next
+// query, so a long-lived solver's memory stays bounded whatever it sees.
+const (
+	maxMemoEntries = 1 << 16
+	maxAtomCons    = 1 << 14
+)
 
 // maxJournal caps epoch journals; an epoch that overflows it simply stops
 // recording (invalidation-on-abort is best-effort hygiene, not soundness —
@@ -386,9 +402,10 @@ func (s *Solver) solve(f *expr.Term, bounds map[string]interval.Interval, wantMo
 	}()
 	defer func() {
 		if r := recover(); r != nil {
-			// A panic may have interrupted an encoder or clause-database
-			// mutation: drop the reused storage, the next query rebuilds it.
-			s.enc = nil
+			// A panic may have interrupted an encoder, clause-database, or
+			// table mutation: drop the reused storage, the next query
+			// rebuilds it.
+			s.enc, s.memo, s.atomCons = nil, nil, nil
 			s.stats.panics.Add(1)
 			s.stats.unknowns.Add(1)
 			res = Result{Status: Unknown}
@@ -626,30 +643,53 @@ func (s *Solver) storeValue(f *expr.Term, bounds map[string]interval.Interval, v
 	}
 }
 
+// prepare readies the solver-lifetime tables for a query, replacing each
+// that has passed its cap. After a panic, and while the guard has the
+// reused-storage rung quarantined, the tables are built fresh, and prepare
+// reports that the encoder and box must be too.
+func (s *Solver) prepare() (fresh bool) {
+	if s.enc == nil || !s.guard.RungAvailable() {
+		s.memo = make(map[*expr.Term]*expr.Term)
+		s.atomCons = make(map[suppLit]lia.Constraint)
+		return true
+	}
+	if len(s.memo) > maxMemoEntries {
+		s.memo = make(map[*expr.Term]*expr.Term)
+	}
+	if len(s.atomCons) > maxAtomCons {
+		s.atomCons = make(map[suppLit]lia.Constraint)
+	}
+	return false
+}
+
 // frontEnd runs simplify → purify → re-simplify over f's top-level
 // conjunct list. It returns the list expr.AndArgs would give for the
 // formula the three whole-query passes produce — same conjuncts, same
 // order, same auxiliary variables — without interning that query-wide
 // conjunction: an empty list is true, [false] is false. The list aliases
 // the solver's storage and lives until the next query.
+//
+// Both simplification passes share the solver-lifetime memo. The
+// re-simplify pass sees purified terms, whose auxiliary variables are
+// named by their order of appearance in the query, but its results are
+// still pure functions of those terms, so they stay valid in any later
+// query.
 func (s *Solver) frontEnd(f *expr.Term) []*expr.Term {
 	top := []*expr.Term{f}
 	if f.Op == expr.OpAnd {
 		top = f.Args
 	}
-	s.memo = resetMap(s.memo)
 	s.pur.reset()
 	s.tmp = s.tmp[:0]
 	for _, c := range top {
-		s.tmp = append(s.tmp, expr.SimplifyWith(c, s.memo))
+		s.tmp = append(s.tmp, expr.Simplify(c, s.memo))
 	}
 	s.conj = expr.AndArgs(s.conj, s.tmp...)
 	if len(s.conj) == 1 && s.conj[0].IsFalse() {
 		return s.conj
 	}
 	// Purify div/rem/ite in conjunct order, then re-simplify so the new
-	// atoms are canonical. Simplification is pure, so the memo carries
-	// over.
+	// atoms are canonical.
 	s.tmp = s.tmp[:0]
 	for _, c := range s.conj {
 		s.tmp = append(s.tmp, s.pur.purify(c))
@@ -658,7 +698,7 @@ func (s *Solver) frontEnd(f *expr.Term) []*expr.Term {
 	s.conj = expr.AndArgs(s.conj, s.tmp...)
 	s.tmp = s.tmp[:0]
 	for _, c := range s.conj {
-		s.tmp = append(s.tmp, expr.SimplifyWith(c, s.memo))
+		s.tmp = append(s.tmp, expr.Simplify(c, s.memo))
 	}
 	s.conj = expr.AndArgs(s.conj, s.tmp...)
 	return s.conj
@@ -689,6 +729,7 @@ func (s *Solver) collectVars(conj []*expr.Term) {
 }
 
 func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *cancel.Token, query uint64) (Result, error) {
+	fresh := s.prepare()
 	conj := s.frontEnd(f)
 	switch {
 	case len(conj) == 0:
@@ -699,7 +740,7 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 		return Result{Status: Unsat}, nil
 	}
 
-	if s.enc == nil || !s.guard.RungAvailable() {
+	if fresh {
 		s.enc = newEncoder()
 		s.box = lia.NewBox(nil)
 	} else {
@@ -716,7 +757,7 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 		enc.sat.Stop = qtok.Expired
 	}
 	enc.sat.MaxConflicts = s.opts.MaxConflicts
-	if !enc.sat.AddClause(root) {
+	if !enc.sat.AddClause(root) || !s.boundBools(bounds) {
 		return Result{Status: Unsat}, nil
 	}
 	budgetErr := func(stage string, round int, detail error) error {
@@ -786,7 +827,7 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 		var cons []lia.Constraint
 		var asserted []sat.Lit
 		for _, sl := range support {
-			c, err := atomToConstraint(sl.atom, sl.positive)
+			c, err := s.constraint(sl)
 			if err != nil {
 				return Result{}, err
 			}
@@ -841,6 +882,53 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 		}
 	}
 	return Result{Status: Unknown}, budgetErr("theory-rounds", s.opts.MaxTheoryRounds, nil)
+}
+
+// boundBools restricts each encoded Boolean variable to its explicit
+// bound, which the LIA tier never sees: a bound excluding 0 or 1 becomes a
+// unit clause, one excluding both makes the query unsat (false). Variables
+// are constrained in name order, so the CNF is deterministic.
+func (s *Solver) boundBools(bounds map[string]interval.Interval) bool {
+	enc := s.enc
+	var names []string
+	for name := range enc.boolVar {
+		if _, ok := bounds[name]; ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		iv, v := bounds[name], enc.boolVar[name]
+		switch can0, can1 := iv.Contains(0), iv.Contains(1); {
+		case !can0 && !can1:
+			return false
+		case !can0:
+			if !enc.sat.AddClause(sat.MkLit(v, false)) {
+				return false
+			}
+		case !can1:
+			if !enc.sat.AddClause(sat.MkLit(v, true)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// constraint returns the LIA constraint of a theory literal from the
+// solver-lifetime table, translating and recording it on a miss. Entries
+// are shared across rounds and queries: the LIA tier clones its input and
+// only reads it when verifying.
+func (s *Solver) constraint(sl suppLit) (lia.Constraint, error) {
+	if c, ok := s.atomCons[sl]; ok {
+		return c, nil
+	}
+	c, err := atomToConstraint(sl.atom, sl.positive)
+	if err != nil {
+		return lia.Constraint{}, err
+	}
+	s.atomCons[sl] = c
+	return c, nil
 }
 
 // fillModel ensures every bounded variable, and every non-auxiliary

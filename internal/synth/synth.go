@@ -256,7 +256,7 @@ func (col *collector) add(t *expr.Term) bool {
 	if col.n%cancelStride == 0 && col.c.Cancel.Expired() {
 		return false
 	}
-	s := expr.Simplify(t)
+	s := expr.Simplify(t, nil)
 	if col.seen[s] {
 		return true
 	}
@@ -377,7 +377,7 @@ func arithCombos(c Components, leaves []*expr.Term) []*expr.Term {
 				if (op == expr.OpDiv || op == expr.OpRem) && r.Op == expr.OpIntConst && r.Val == 0 {
 					continue
 				}
-				t := expr.Simplify(expr.Rebuild(op, []*expr.Term{l, r}))
+				t := expr.Simplify(expr.Rebuild(op, []*expr.Term{l, r}), nil)
 				if t.IsConst() || seen[t] {
 					continue
 				}

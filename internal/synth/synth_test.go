@@ -27,12 +27,12 @@ func TestSynthesizeBoolContainsPaperTemplates(t *testing.T) {
 		t.Fatal("no templates")
 	}
 	want := []*expr.Term{
-		expr.Simplify(expr.Ge(expr.IntVar("x"), expr.IntVar("a"))),
-		expr.Simplify(expr.Lt(expr.IntVar("y"), expr.IntVar("b"))),
+		expr.Simplify(expr.Ge(expr.IntVar("x"), expr.IntVar("a")), nil),
+		expr.Simplify(expr.Lt(expr.IntVar("y"), expr.IntVar("b")), nil),
 		expr.Simplify(expr.Or(
 			expr.Eq(expr.IntVar("x"), expr.IntVar("a")),
 			expr.Eq(expr.IntVar("y"), expr.IntVar("b")),
-		)),
+		), nil),
 	}
 	set := make(map[*expr.Term]bool, len(templates))
 	for _, tpl := range templates {
@@ -94,8 +94,8 @@ func TestSynthesizeIntHole(t *testing.T) {
 	}
 	for _, w := range []*expr.Term{
 		expr.IntVar("x"),
-		expr.Simplify(expr.Add(expr.IntVar("x"), expr.IntVar("a"))),
-		expr.Simplify(expr.Sub(expr.IntVar("x"), expr.Int(1))),
+		expr.Simplify(expr.Add(expr.IntVar("x"), expr.IntVar("a")), nil),
+		expr.Simplify(expr.Sub(expr.IntVar("x"), expr.Int(1)), nil),
 	} {
 		if !set[w] {
 			t.Errorf("missing int template %v", w)
@@ -116,7 +116,7 @@ func TestBuildPool(t *testing.T) {
 	}
 	// x >= a must cover 21 concrete patches.
 	for _, p := range pool.Patches {
-		if p.Expr == expr.Simplify(expr.Ge(expr.IntVar("x"), expr.IntVar("a"))) {
+		if p.Expr == expr.Simplify(expr.Ge(expr.IntVar("x"), expr.IntVar("a")), nil) {
 			if p.CountConcrete() != 21 {
 				t.Fatalf("x>=a count %d, want 21", p.CountConcrete())
 			}
@@ -172,7 +172,8 @@ func TestExtraTemplates(t *testing.T) {
 	}
 	templates := Synthesize(c, lang.TypeBool)
 	want := expr.Simplify(expr.MustParse("(or (= x a) (and (< y b) (> x 3)))",
-		map[string]expr.Sort{"x": expr.SortInt, "y": expr.SortInt, "a": expr.SortInt, "b": expr.SortInt}))
+		map[string]expr.Sort{"x": expr.SortInt, "y": expr.SortInt, "a": expr.SortInt, "b": expr.SortInt}), nil)
+
 	found := false
 	for _, tpl := range templates {
 		if tpl == want {
